@@ -6,11 +6,11 @@ earthquake catalog analysis."""
 from .intensity import IntensityModel, ModelSpecError
 from .nhpp import EventTimes, simulate_path, jump_time_pdf, sample_jump_time, sample_jump_times
 from .limitlaw import (WaitingLaw, ValidityError, limit_cdf, conditional_cdf,
-                       sample_conditional, breakpoints, sup_distance_exp)
+                       random_cdf, sample_conditional, breakpoints, sup_distance_exp)
 from .statfn import (KsResult, reg_lower_incomplete_gamma, chi2_sf,
                      normal_quantile, normal_cdf, ks_test)
 from .inference import (SlopeEstimate, BandCurve, estimate_slope,
-                        estimate_slope_with_ci, random_cdf, path_log_likelihood,
+                        estimate_slope_with_ci, path_log_likelihood,
                         slope_ci, confidence_bands, verify_clt,
                         verify_glivenko_cantelli, verify_kolmogorov_limit)
 from .gof import GofReport, bin_percentages, chi_square_stat, gof_pvalue, table1_experiment

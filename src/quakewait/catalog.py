@@ -16,7 +16,8 @@ from importlib import resources
 
 import numpy as np
 
-from .inference import random_cdf
+from .limitlaw import random_cdf
+from .statfn import _float_if_scalar, _nonneg
 
 MAJOR_THRESHOLD = 8.5
 MODERATE_THRESHOLD = 7.0
@@ -165,10 +166,9 @@ class EmpiricalCdf:
     n: int
 
     def __call__(self, h):
-        h_arr = np.asarray(h, dtype=float)
-        out = np.searchsorted(np.asarray(self.jumps, dtype=float), h_arr,
+        out = np.searchsorted(np.asarray(self.jumps, dtype=float), _nonneg(h, "h"),
                               side="right") / self.n
-        return float(out) if np.isscalar(h) or h_arr.ndim == 0 else out
+        return _float_if_scalar(out)
 
 
 def empirical_waiting_cdf(segment: CatalogSegment, t: int) -> EmpiricalCdf:

@@ -14,11 +14,13 @@ import json
 import secrets
 import sys
 
+import numpy as np
+
 from . import catalog as cat
 from . import gof as gofmod
 from . import inference
 from .intensity import IntensityModel, ModelSpecError
-from .limitlaw import ValidityError
+from .limitlaw import ValidityError, random_cdf
 from .nhpp import simulate_path, write_events_csv
 
 
@@ -53,18 +55,17 @@ def _cmd_simulate(args) -> int:
 
 # -- gof --------------------------------------------------------------
 
-def _report_dict(rep) -> dict:
-    return {"t": _sig12(rep.t),
-            "percentages": [_sig12(p) for p in rep.percentages],
-            "chi2": _sig12(rep.chi2), "p_value": _sig12(rep.p_value)}
+def _row(t, perc, chi2, p) -> dict:
+    return {"t": _sig12(t), "percentages": [_sig12(x) for x in perc],
+            "chi2": _sig12(chi2), "p_value": _sig12(p)}
 
 
 def _score_percentage_rows(path) -> list[dict]:
     out = []
     with open(path) as fp:
         reader = csv.reader(fp)
-        header = next(reader)
-        if header[0].strip().lower() != "t" or len(header) != 11:
+        header = next(reader, None)
+        if not header or header[0].strip().lower() != "t" or len(header) != 11:
             raise ValueError("expected header 't,p1,...,p10'")
         for row in reader:
             if not row or all(not c.strip() for c in row):
@@ -72,8 +73,7 @@ def _score_percentage_rows(path) -> list[dict]:
             t = float(row[0])
             perc = [float(c) for c in row[1:]]
             stat = gofmod.chi_square_stat(perc)
-            out.append({"t": _sig12(t), "percentages": [_sig12(p) for p in perc],
-                        "chi2": _sig12(stat), "p_value": _sig12(gofmod.gof_pvalue(stat))})
+            out.append(_row(t, perc, stat, gofmod.gof_pvalue(stat)))
     return out
 
 
@@ -85,8 +85,8 @@ def _cmd_gof(args) -> int:
         t_values = [float(t) for t in args.t.split(",")]
         reports = gofmod.table1_experiment(args.m, args.k, t_values, args.n,
                                            seed, r=args.r)
-        rows = [_report_dict(r) for r in reports]
-        rows = [{"seed": seed, **row} for row in rows]
+        rows = [{"seed": seed, **_row(r.t, r.percentages, r.chi2, r.p_value)}
+                for r in reports]
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(["t"] + [f"p{i}" for i in range(1, 11)] + ["chi2", "p_value"])
@@ -116,8 +116,7 @@ def _svg_bands(band, point_rate: float, h_max: float) -> str:
         return (f'<polyline fill="none" stroke="{color}" stroke-width="1.5"'
                 f'{extra} points="{pts}"/>')
 
-    import numpy as np
-    point = -np.expm1(-point_rate * band.grid)
+    point = random_cdf(point_rate, band.grid)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -175,7 +174,6 @@ def _cmd_analyze(args) -> int:
         t = seg.relative_times[-1]
         m_hat = float(cat.slope_at(seg, t))
         low, high = inference.slope_ci(m_hat, 0.0, float(t), args.alpha)
-        import numpy as np
         grid = np.arange(0.0, args.h_max + args.h_step / 2, args.h_step)
         band = inference.confidence_bands((low, high), grid)
         out["bands"] = {"anchor_year": seg.anchor_year, "t": t,
@@ -195,21 +193,17 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
-    if args.kind == "clt":
-        check = inference.verify_clt(args.m, float(args.t), args.reps, seed)
-        result = {"kind": "clt", "seed": seed,
-                  "statistic": _sig12(check.ks.statistic),
-                  "p_value": _sig12(check.ks.p_value)}
-    elif args.kind == "gc":
+    if args.kind == "gc":
         taus = [float(v) for v in args.t.split(",")]
         check = inference.verify_glivenko_cantelli(args.m, taus, args.reps, seed)
         result = {"kind": "gc", "seed": seed,
                   "taus": [_sig12(t) for t in check.taus],
                   "medians": [_sig12(m) for m in check.medians]}
     else:
-        check = inference.verify_kolmogorov_limit(args.m, float(args.t),
-                                                  args.reps, seed)
-        result = {"kind": "kolmogorov", "seed": seed,
+        verify = (inference.verify_clt if args.kind == "clt"
+                  else inference.verify_kolmogorov_limit)
+        check = verify(args.m, float(args.t), args.reps, seed)
+        result = {"kind": args.kind, "seed": seed,
                   "statistic": _sig12(check.ks.statistic),
                   "p_value": _sig12(check.ks.p_value)}
     print(json.dumps(result))

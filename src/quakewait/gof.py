@@ -45,6 +45,13 @@ def bin_percentages(samples, cuts) -> np.ndarray:
     return 100.0 * counts / samples_arr.size
 
 
+def _pearson(perc: np.ndarray, r: int) -> float:
+    """Pearson statistic on r observed percentages with expected value
+    100/r in every bin."""
+    expected = 100.0 / r
+    return float(np.sum((perc - expected) ** 2) / expected)
+
+
 def chi_square_stat(percentages) -> float:
     """Pearson statistic on 10 observed percentages with expected value 10
     in every bin: sum (O_j - 10)^2 / 10."""
@@ -53,7 +60,7 @@ def chi_square_stat(percentages) -> float:
         raise ValueError("exactly 10 percentages required")
     if abs(p.sum() - 100.0) > 1e-6:
         raise ValueError("percentages must sum to 100")
-    return float(np.sum((p - 10.0) ** 2) / 10.0)
+    return _pearson(p, 10)
 
 
 def gof_pvalue(stat: float) -> float:
@@ -78,10 +85,7 @@ def table1_experiment(m: float, k: int, t_values, n: int, seed,
         law = WaitingLaw(t, k, m)
         samples = sample_conditional(law, n, substream(seed, i))
         perc = bin_percentages(samples, cuts)
-        if r == 10:
-            stat = chi_square_stat(perc)
-        else:
-            stat = float(np.sum((perc - 100.0 / r) ** 2) / (100.0 / r))
+        stat = _pearson(perc, r)
         p = chi2_sf(stat, r - 1)
         reports.append(GofReport(float(t), perc, stat, p, int(n), int(r)))
     return reports

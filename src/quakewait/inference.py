@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intensity import IntensityModel
-from .limitlaw import sup_distance_exp
+from .limitlaw import random_cdf, sup_distance_exp
 from .nhpp import EventTimes
 from .rng import substreams
 from .statfn import KsResult, folded_normal_cdf, ks_test, normal_cdf, normal_quantile
@@ -42,8 +42,9 @@ class BandCurve:
 
 
 @dataclass(frozen=True, eq=False)
-class CltCheck:
-    """Scaled estimator errors from one CLT verification run."""
+class KsCheck:
+    """Scaled statistics from one Monte Carlo verification run and their
+    KS test against the limiting law."""
 
     statistics: np.ndarray
     ks: KsResult
@@ -55,14 +56,6 @@ class GcCheck:
 
     taus: tuple
     medians: tuple
-
-
-@dataclass(frozen=True, eq=False)
-class KolmogorovCheck:
-    """Scaled sup-distances from one Kolmogorov-limit verification run."""
-
-    statistics: np.ndarray
-    ks: KsResult
 
 
 def estimate_slope(events: EventTimes, tau_star: float, tau: float) -> SlopeEstimate:
@@ -79,18 +72,6 @@ def estimate_slope(events: EventTimes, tau_star: float, tau: float) -> SlopeEsti
         raise ValueError("tau must not exceed the observation horizon")
     count = events.count_in(tau_star, tau)
     return SlopeEstimate(count / (tau - tau_star), tau_star, tau, count)
-
-
-def random_cdf(m_hat: float, h):
-    """Estimated limit CDF: 1 - exp(-m_hat h); identically zero when no
-    events have been observed (m_hat = 0)."""
-    if m_hat < 0:
-        raise ValueError("m_hat must be nonnegative")
-    h_arr = np.asarray(h, dtype=float)
-    if np.any(h_arr < 0):
-        raise ValueError("h must be nonnegative")
-    out = -np.expm1(-m_hat * h_arr)
-    return float(out) if np.isscalar(h) or h_arr.ndim == 0 else out
 
 
 def path_log_likelihood(events: EventTimes, model: IntensityModel, t: float) -> float:
@@ -162,9 +143,7 @@ def confidence_bands(ci, grid) -> BandCurve:
         raise ValueError("grid must be strictly increasing")
     if np.any(grid_arr < 0):
         raise ValueError("grid times must be nonnegative")
-    lower = -np.expm1(-low * grid_arr)
-    upper = -np.expm1(-high * grid_arr)
-    return BandCurve(grid_arr, lower, upper)
+    return BandCurve(grid_arr, random_cdf(low, grid_arr), random_cdf(high, grid_arr))
 
 
 def write_bands_csv(band: BandCurve, fp) -> None:
@@ -187,7 +166,7 @@ def _slope_draws(m: float, tau: float, reps: int, seed, offset: int = 0) -> np.n
     return counts / tau
 
 
-def verify_clt(m: float, t: float, reps: int, seed) -> CltCheck:
+def verify_clt(m: float, t: float, reps: int, seed) -> KsCheck:
     """KS-test sqrt(t) (m_hat - m) against N(0, m) over ``reps``
     replicates."""
     if reps < 100:
@@ -198,7 +177,7 @@ def verify_clt(m: float, t: float, reps: int, seed) -> CltCheck:
     stats = math.sqrt(t) * (m_hats - m)
     sd = math.sqrt(m)
     ks = ks_test(stats, lambda x: normal_cdf(x / sd))
-    return CltCheck(stats, ks)
+    return KsCheck(stats, ks)
 
 
 def verify_glivenko_cantelli(m: float, taus, reps: int, seed) -> GcCheck:
@@ -217,7 +196,7 @@ def verify_glivenko_cantelli(m: float, taus, reps: int, seed) -> GcCheck:
     return GcCheck(taus, tuple(medians))
 
 
-def verify_kolmogorov_limit(m: float, tau: float, reps: int, seed) -> KolmogorovCheck:
+def verify_kolmogorov_limit(m: float, tau: float, reps: int, seed) -> KsCheck:
     """KS-test sqrt(tau) * sup-distance against |N(0, exp(-2)/m)| over
     ``reps`` replicates."""
     if reps < 500:
@@ -228,4 +207,4 @@ def verify_kolmogorov_limit(m: float, tau: float, reps: int, seed) -> Kolmogorov
     stats = math.sqrt(tau) * np.array([sup_distance_exp(mh, m) for mh in m_hats])
     sigma = math.exp(-1.0) / math.sqrt(m)
     ks = ks_test(stats, lambda x: folded_normal_cdf(x, sigma))
-    return KolmogorovCheck(stats, ks)
+    return KsCheck(stats, ks)

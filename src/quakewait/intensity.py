@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .statfn import _float_if_scalar, _nonneg
+
 
 class ModelSpecError(ValueError):
     """Malformed intensity-model specification."""
@@ -137,27 +139,20 @@ class IntensityModel:
 
     def rate(self, t):
         """lambda(t); right-continuous in t."""
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0):
-            raise ValueError("time must be nonnegative")
-        idx = np.searchsorted(self.starts, t_arr, side="right") - 1
-        out = np.asarray(self.rates)[idx]
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        idx = np.searchsorted(self.starts, _nonneg(t, "time"), side="right") - 1
+        return _float_if_scalar(np.asarray(self.rates)[idx])
 
     def cif(self, t):
         """Cumulative rate Lambda(t) = integral of lambda over [0, t].
 
         Exact segment sums; accepts scalars or arrays.
         """
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0):
-            raise ValueError("time must be nonnegative")
+        t_arr = _nonneg(t, "time")
         starts = np.asarray(self.starts)
         rates = np.asarray(self.rates)
         cum = np.asarray(self._cum)
         idx = np.searchsorted(starts, t_arr, side="right") - 1
-        out = cum[idx] + rates[idx] * (t_arr - starts[idx])
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        return _float_if_scalar(cum[idx] + rates[idx] * (t_arr - starts[idx]))
 
     def cif_inverse(self, y):
         """Smallest t with Lambda(t) >= y.
@@ -165,9 +160,7 @@ class IntensityModel:
         Flat (zero-rate) stretches map to their left endpoint.  Accepts
         scalars or arrays.
         """
-        y_arr = np.asarray(y, dtype=float)
-        if np.any(y_arr < 0):
-            raise ValueError("cumulative intensity must be nonnegative")
+        y_arr = _nonneg(y, "cumulative intensity")
         starts = np.asarray(self.starts)
         rates = np.asarray(self.rates)
         cum = np.asarray(self._cum)
@@ -180,8 +173,7 @@ class IntensityModel:
         out = np.where(y_arr > cum[idx],
                        starts[idx] + (y_arr - cum[idx]) / safe,
                        starts[idx])
-        out = np.where(y_arr == 0.0, 0.0, out)
-        return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out
+        return _float_if_scalar(np.where(y_arr == 0.0, 0.0, out))
 
     @property
     def asymptotic_slope(self) -> float:

@@ -3,7 +3,8 @@
 ``limit_cdf`` is the exponential law 1 - exp(-m h) toward which the
 conditional family converges as the elapsed time grows; ``conditional_cdf``
 is the exact law at elapsed time t for the k-th shock under a linear
-cumulative rate with slope m.
+cumulative rate with slope m.  ``random_cdf`` evaluates 1 - exp(-m h) for
+every rate m >= 0, the estimate m = 0 included; ``limit_cdf`` calls it.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import as_generator
+from .statfn import _float_if_scalar, _nonneg
 
 _U_TOL = 1e-12
 _MAX_ITER = 200
@@ -37,9 +39,9 @@ class WaitingLaw:
     def __post_init__(self):
         if self.k < 1 or int(self.k) != self.k:
             raise ValidityError("k must be a positive integer")
-        if self.m <= 0:
+        if not self.m > 0:
             raise ValidityError("m must be strictly positive")
-        if self.t < 0:
+        if not self.t >= 0:
             raise ValidityError("t must be nonnegative")
         if self.m * self.t < self.k - 1:
             raise ValidityError(
@@ -50,26 +52,28 @@ class WaitingLaw:
         object.__setattr__(self, "m", float(self.m))
 
 
+def random_cdf(m_hat: float, h):
+    """Exponential CDF 1 - exp(-m_hat h) at an estimated rate m_hat >= 0;
+    identically zero when no events have been observed (m_hat = 0)."""
+    if not m_hat >= 0:
+        raise ValueError("m_hat must be nonnegative")
+    return _float_if_scalar(-np.expm1(-m_hat * _nonneg(h, "h")))
+
+
 def limit_cdf(m: float, h):
     """Exponential limit CDF: 1 - exp(-m h)."""
-    if m <= 0:
+    if not m > 0:
         raise ValueError("m must be strictly positive")
-    h_arr = np.asarray(h, dtype=float)
-    if np.any(h_arr < 0):
-        raise ValueError("h must be nonnegative")
-    out = -np.expm1(-m * h_arr)
-    return float(out) if np.isscalar(h) or h_arr.ndim == 0 else out
+    return random_cdf(m, h)
 
 
 def conditional_cdf(law: WaitingLaw, h):
     """Conditional CDF: 1 - (1 + h/t)^{k-1} exp(-m h)."""
     if law.k == 1:
         return limit_cdf(law.m, h)
-    h_arr = np.asarray(h, dtype=float)
-    if np.any(h_arr < 0):
-        raise ValueError("h must be nonnegative")
-    out = -np.expm1((law.k - 1) * np.log1p(h_arr / law.t) - law.m * h_arr)
-    return float(out) if np.isscalar(h) or h_arr.ndim == 0 else out
+    h_arr = _nonneg(h, "h")
+    return _float_if_scalar(
+        -np.expm1((law.k - 1) * np.log1p(h_arr / law.t) - law.m * h_arr))
 
 
 def sample_conditional(law: WaitingLaw, n: int, seed) -> np.ndarray:

@@ -23,6 +23,21 @@ class KsResult:
     p_value: float
 
 
+def _nonneg(x, what: str) -> np.ndarray:
+    """``x`` as a float array; ValueError unless every element is >= 0,
+    which NaN is not."""
+    arr = np.asarray(x, dtype=float)
+    if not (arr >= 0).all():
+        raise ValueError(f"{what} must be nonnegative")
+    return arr
+
+
+def _float_if_scalar(out):
+    """The one scalar/array policy: a 0-d result becomes a Python float,
+    an array is returned as it is."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def _gamma_series(s: float, x: float) -> float:
     """P(s, x) by the power series; converges fast for x < s + 1."""
     term = 1.0 / s
@@ -113,11 +128,9 @@ _PPF_D = (7.784695709041462e-03, 3.224671290700398e-01,
 
 def normal_cdf(x):
     """Standard normal CDF; accepts scalars or arrays."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x_arr])
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(out[0])
-    return out.reshape(np.asarray(x).shape)
+    x_arr = np.asarray(x, dtype=float)
+    out = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x_arr.ravel()])
+    return _float_if_scalar(out.reshape(x_arr.shape))
 
 
 def folded_normal_cdf(x, sigma: float):
@@ -125,9 +138,8 @@ def folded_normal_cdf(x, sigma: float):
     if sigma <= 0:
         raise ValueError("sigma must be strictly positive")
     x_arr = np.asarray(x, dtype=float)
-    out = np.clip(2.0 * np.asarray(normal_cdf(x_arr / sigma)) - 1.0, 0.0, 1.0)
-    out = np.where(x_arr < 0, 0.0, out)
-    return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
+    out = np.clip(2.0 * normal_cdf(x_arr / sigma) - 1.0, 0.0, 1.0)
+    return _float_if_scalar(np.where(x_arr < 0, 0.0, out))
 
 
 def normal_quantile(p: float) -> float:

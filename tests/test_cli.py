@@ -57,6 +57,13 @@ class TestGof:
         assert rows[1]["chi2"] == 0.0
         assert rows[1]["p_value"] == 1.0
 
+    def test_empty_percentages_file(self, capsys, tmp_path):
+        table = tmp_path / "rows.csv"
+        table.write_text("")
+        code, _, err = run(capsys, "gof", "--from-percentages", str(table))
+        assert code == 2
+        assert err == "error: expected header 't,p1,...,p10'\n"
+
     def test_simulated(self, capsys):
         code, stdout, _ = run(capsys, "gof", "--m", "1", "--k", "10",
                               "--t", "10", "--n", "1000", "--seed", "0")
