@@ -22,6 +22,7 @@ from . import inference
 from .intensity import IntensityModel, ModelSpecError
 from .limitlaw import ValidityError, random_cdf
 from .nhpp import simulate_path, write_events_csv
+from .statfn import ConvergenceError
 
 
 def _sig12(x: float) -> float:
@@ -270,6 +271,9 @@ def main(argv=None) -> int:
             OSError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

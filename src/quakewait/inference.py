@@ -106,9 +106,9 @@ def slope_ci(m_hat: float, tau_star: float, tau: float, alpha: float):
     """Confidence interval for the slope: the two roots in m of
     t (m_hat - m)^2 = x^2 m, with t = tau - tau_star and x the two-sided
     normal quantile for level alpha."""
-    if m_hat < 0:
+    if not m_hat >= 0:
         raise ValueError("m_hat must be nonnegative")
-    if tau <= tau_star:
+    if not tau > tau_star:
         raise ValueError("tau must exceed tau_star")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
@@ -161,7 +161,7 @@ def _slope_draws(m: float, tau: float, reps: int, seed, offset: int = 0) -> np.n
     N_tau ~ Poisson(m tau) from its own substream rather than materializing
     the full path; the distribution of the estimate is identical.
     """
-    gens = substreams(seed, offset + reps)[offset:]
+    gens = substreams(seed, reps, offset)
     counts = np.array([g.poisson(m * tau) for g in gens], dtype=float)
     return counts / tau
 

@@ -43,13 +43,13 @@ class IntensityModel:
             raise ModelSpecError("segments must start at time 0")
         if len(starts) != len(rates):
             raise ModelSpecError("one rate per breakpoint required")
-        if any(s2 <= s1 for s1, s2 in zip(starts, starts[1:])):
+        if any(not s2 > s1 for s1, s2 in zip(starts, starts[1:])):
             raise ModelSpecError("breakpoints must be strictly increasing")
         if any(r < 0 or not np.isfinite(r) for r in rates):
             raise ModelSpecError("rates must be finite and nonnegative")
-        if self.tail_rate <= 0:
+        if not self.tail_rate > 0:
             raise ModelSpecError("tail_rate must be strictly positive")
-        if self.tail_start < 0:
+        if not self.tail_start >= 0:
             raise ModelSpecError("tail_start must be nonnegative")
         if starts[-1] > self.tail_start:
             raise ModelSpecError("no breakpoint may lie beyond tail_start")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import as_generator
-from .statfn import _float_if_scalar, _nonneg
+from .statfn import ConvergenceError, _float_if_scalar, _nonneg
 
 _U_TOL = 1e-12
 _MAX_ITER = 200
@@ -77,40 +77,41 @@ def conditional_cdf(law: WaitingLaw, h):
 
 
 def sample_conditional(law: WaitingLaw, n: int, seed) -> np.ndarray:
-    """Inverse-transform sampling by bracketed bisection.
+    """Inverse-transform sampling by Newton's method on the log-survival.
 
-    The CDF is continuous and strictly increasing wherever the law is
-    valid, so bisection cannot diverge; iteration stops once every sample
-    satisfies |G_t(sample) - u| <= 1e-12.
+    Each uniform u is inverted by solving f(h) = 0 for
+    f(h) = (k-1) log1p(h/t) - m h - log1p(-u), whose derivative is
+    f'(h) = -(m t - (k-1) + m h) / (t + h).  Where the law is valid
+    (m t >= k-1), f is concave and non-increasing on h >= 0.  The start,
+    the exponential quantile -log1p(-u)/m, has f >= 0 and is exact for
+    k = 1; the first step lands at or right of the root and the iterates
+    then fall monotonically onto it, so no bracket is needed.  Iteration
+    stops once every sample satisfies |G_t(sample) - u| <= 1e-12 and
+    raises ConvergenceError if that takes more than ``_MAX_ITER`` passes.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return np.empty(0)
-    rng = as_generator(seed)
-    u = rng.random(int(n))
-    lo = np.zeros(n)
-    hi = np.full(n, 1.0 / law.m)
+    u = as_generator(seed).random(int(n))
+    log_surv = np.log1p(-u)
+    h = log_surv / -law.m
+    excess = law.m * law.t - (law.k - 1)
+    # the slope vanishes only at h = 0 on the boundary m t = k-1, where
+    # u = 0 and f = 0 too; the floor turns that 0/0 into a zero step
+    tiny = np.finfo(float).tiny
     for _ in range(_MAX_ITER):
-        short = conditional_cdf(law, hi) < u
-        if not short.any():
-            break
-        hi[short] *= 2.0
-    mid = 0.5 * (lo + hi)
-    for _ in range(_MAX_ITER):
-        g = conditional_cdf(law, mid)
-        if np.max(np.abs(g - u)) <= _U_TOL:
-            break
-        above = g >= u
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        mid = 0.5 * (lo + hi)
-    return mid
+        if np.max(np.abs(conditional_cdf(law, h) - u)) <= _U_TOL:
+            return h
+        f = (law.k - 1) * np.log1p(h / law.t) - law.m * h - log_surv
+        h += f * (law.t + h) / np.maximum(excess + law.m * h, tiny)  # h - f/f'
+    raise ConvergenceError(
+        f"sample_conditional did not converge in {_MAX_ITER} Newton steps")
 
 
 def breakpoints(m: float, r: int) -> np.ndarray:
     """Cut points h_1 < ... < h_{r-1} with limit_cdf(m, h_i) = i/r."""
-    if m <= 0:
+    if not m > 0:
         raise ValueError("m must be strictly positive")
     if r < 2 or int(r) != r:
         raise ValueError("r must be an integer >= 2")
@@ -125,7 +126,7 @@ def sup_distance_exp(a: float, b: float) -> float:
     formula is 0/0, so the first-order limit exp(-1)|a-b|/max(a,b) is
     returned instead.  A zero rate gives the degenerate distance 1.
     """
-    if a < 0 or b < 0:
+    if not (a >= 0 and b >= 0):
         raise ValueError("rates must be nonnegative")
     if a == b:
         return 0.0

@@ -25,11 +25,12 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def substreams(master_seed: int, n: int) -> list[np.random.Generator]:
-    """Child generators for replicates ``0..n-1``.
+def substreams(master_seed: int, n: int, start: int = 0) -> list[np.random.Generator]:
+    """Child generators for replicates ``start..start+n-1``.
 
-    Equivalent to ``[substream(master_seed, i) for i in range(n)]`` but
-    spawned in one pass.
+    Equivalent to ``[substream(master_seed, i) for i in range(start,
+    start + n)]`` but spawned in one pass, without building the first
+    ``start`` children.
     """
-    children = np.random.SeedSequence(int(master_seed)).spawn(n)
-    return [np.random.default_rng(c) for c in children]
+    parent = np.random.SeedSequence(int(master_seed), n_children_spawned=int(start))
+    return [np.random.default_rng(c) for c in parent.spawn(n)]

@@ -15,6 +15,10 @@ _GAMMA_EPS = 1e-15
 _GAMMA_ITMAX = 1000
 
 
+class ConvergenceError(RuntimeError):
+    """An iteration reached its cap before meeting its tolerance."""
+
+
 @dataclass(frozen=True)
 class KsResult:
     """Kolmogorov-Smirnov sup-distance and its asymptotic p-value."""
@@ -49,6 +53,9 @@ def _gamma_series(s: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _GAMMA_EPS:
             break
+    else:
+        raise ConvergenceError(
+            f"incomplete gamma series did not converge in {_GAMMA_ITMAX} terms")
     return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
 
 def _gamma_cf(s: float, x: float) -> float:
@@ -72,6 +79,9 @@ def _gamma_cf(s: float, x: float) -> float:
         f *= delta
         if abs(delta - 1.0) < _GAMMA_EPS:
             break
+    else:
+        raise ConvergenceError(
+            f"incomplete gamma continued fraction did not converge in {_GAMMA_ITMAX} terms")
     return f * math.exp(-x + s * math.log(x) - math.lgamma(s))
 
 

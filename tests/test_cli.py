@@ -64,6 +64,14 @@ class TestGof:
         assert code == 2
         assert err == "error: expected header 't,p1,...,p10'\n"
 
+    def test_p_value_out_of_reach_exits_1(self, capsys):
+        # chi2 near df = 39999 needs more incomplete-gamma terms than the cap
+        code, stdout, err = run(capsys, "gof", "--n", "100", "--r", "40000",
+                                "--t", "50", "--seed", "1")
+        assert code == 1
+        assert stdout == ""
+        assert err == "error: incomplete gamma series did not converge in 1000 terms\n"
+
     def test_simulated(self, capsys):
         code, stdout, _ = run(capsys, "gof", "--m", "1", "--k", "10",
                               "--t", "10", "--n", "1000", "--seed", "0")

@@ -11,8 +11,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from quakewait.catalog import EmpiricalCdf
 from quakewait.intensity import IntensityModel
-from quakewait.inference import random_cdf
-from quakewait.limitlaw import WaitingLaw, conditional_cdf, limit_cdf
+from quakewait.inference import random_cdf, slope_ci
+from quakewait.limitlaw import (WaitingLaw, breakpoints, conditional_cdf, limit_cdf,
+                                sup_distance_exp)
 from quakewait.statfn import folded_normal_cdf, normal_cdf
 
 # criterion 9's model, plus a zero-rate stretch for the inverse
@@ -69,14 +70,26 @@ def test_negative_or_nan_raises(name, bad, arr):
         fn(arr)
 
 
-# NaN rates and elapsed times; NaN arguments of the functions above are
-# covered by test_negative_or_nan_raises
+# NaN rates, times and model parameters; NaN arguments of the functions
+# above are covered by test_negative_or_nan_raises
 @pytest.mark.parametrize("call", [
     lambda: limit_cdf(math.nan, 1.0),
     lambda: random_cdf(math.nan, 1.0),
     lambda: WaitingLaw(math.nan, 1, 1.0),
     lambda: WaitingLaw(20.0, 1, math.nan),
-], ids=["limit_cdf_m", "random_cdf_m", "waiting_law_t", "waiting_law_m"])
+    lambda: breakpoints(math.nan, 10),
+    lambda: sup_distance_exp(math.nan, 1.0),
+    lambda: sup_distance_exp(1.0, math.nan),
+    lambda: slope_ci(math.nan, 0.0, 100.0, 0.05),
+    lambda: slope_ci(0.2, math.nan, 100.0, 0.05),
+    lambda: slope_ci(0.2, 0.0, math.nan, 0.05),
+    lambda: IntensityModel((0.0,), (1.0,), math.nan, 1.0),
+    lambda: IntensityModel((0.0,), (1.0,), 0.0, math.nan),
+    lambda: IntensityModel.piecewise([(0.0, 2.0), (math.nan, 1.0)]),
+], ids=["limit_cdf_m", "random_cdf_m", "waiting_law_t", "waiting_law_m",
+        "breakpoints_m", "sup_distance_a", "sup_distance_b", "slope_ci_m_hat",
+        "slope_ci_tau_star", "slope_ci_tau", "model_tail_start", "model_tail_rate",
+        "model_breakpoint"])
 def test_nan_parameter_is_rejected(call):
     with pytest.raises(ValueError):
         call()

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quakewait import limitlaw
 from quakewait.limitlaw import (ValidityError, WaitingLaw, breakpoints,
                                 conditional_cdf, limit_cdf, sample_conditional,
                                 sup_distance_exp)
 from quakewait.nhpp import jump_time_pdf
-from quakewait.statfn import ks_test
+from quakewait.statfn import ConvergenceError, ks_test
 
 # equiprobable decile cut points of the unit-rate exponential
 DECILE_CUTS = (0.1053605, 0.2231436, 0.3566749, 0.5108256, 0.6931472,
@@ -121,6 +124,40 @@ class TestSampleConditional:
         a = sample_conditional(law, 100, 42)
         b = sample_conditional(law, 100, 42)
         assert np.array_equal(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 200), log_m=st.floats(-3.0, 3.0),
+           slack=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_inverts_every_uniform(self, k, log_m, slack, seed):
+        # slack = 0 is the boundary m t = k - 1, and t = 0 when k = 1
+        m = 10.0 ** log_m
+        t = (k - 1) / m * (1.0 + slack) + (slack if k == 1 else 0.0)
+        while m * t < k - 1:
+            t = np.nextafter(t, math.inf)
+        law = WaitingLaw(t, k, m)
+        samples = sample_conditional(law, 300, seed)
+        u = np.random.default_rng(np.random.SeedSequence(seed)).random(300)
+        assert np.all(samples >= 0.0)
+        assert np.max(np.abs(conditional_cdf(law, samples) - u)) <= 1e-12
+
+    def test_zero_uniform_on_the_boundary(self):
+        # at m t = k - 1 the Newton slope vanishes at h = 0, where u = 0 lands
+        class ZeroFirst(np.random.Generator):
+            def random(self, size):
+                out = super().random(size)
+                out[0] = 0.0
+                return out
+
+        law = WaitingLaw(9.0, 10, 1.0)
+        samples = sample_conditional(law, 100, ZeroFirst(np.random.PCG64(3)))
+        assert samples[0] == 0.0
+        assert np.all(np.isfinite(samples)) and np.all(samples[1:] > 0.0)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(limitlaw, "_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            sample_conditional(WaitingLaw(50, 10, 1.0), 100, 0)
 
 
 class TestBreakpoints:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from quakewait.statfn import (chi2_sf, ks_test, normal_cdf, normal_quantile,
-                              reg_lower_incomplete_gamma)
+from quakewait import statfn
+from quakewait.statfn import (ConvergenceError, chi2_sf, ks_test, normal_cdf,
+                              normal_quantile, reg_lower_incomplete_gamma)
 
 
 def gamma_cdf_quadrature(s, x):
@@ -31,6 +32,13 @@ class TestIncompleteGamma:
             reg_lower_incomplete_gamma(0.0, 1.0)
         with pytest.raises(ValueError):
             reg_lower_incomplete_gamma(1.0, -1.0)
+
+    @pytest.mark.parametrize("s, x", [(4.5, 3.0), (4.5, 8.25)],
+                             ids=["series", "continued_fraction"])
+    def test_iteration_cap_raises(self, monkeypatch, s, x):
+        monkeypatch.setattr(statfn, "_GAMMA_ITMAX", 1)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            reg_lower_incomplete_gamma(s, x)
 
     def test_monotone_in_x(self):
         s = 3.3
