@@ -8,13 +8,14 @@ asymptotically normal with variance m / (tau - tau*).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .intensity import IntensityModel
 from .limitlaw import random_cdf, sup_distance_exp
-from .nhpp import EventTimes
+from .nhpp import EventTimes, _write_csv
 from .rng import substreams
 from .statfn import KsResult, folded_normal_cdf, ks_test, normal_cdf, normal_quantile
 
@@ -89,15 +90,18 @@ def path_log_likelihood(events: EventTimes, model: IntensityModel, t: float) -> 
         raise ValueError("t must exceed the model's tail_start")
     if len(events) and events.times[-1] > t:
         raise ValueError("events must lie within [0, t]")
-    early = events.times[events.times <= tau_star]
+    # plain floats from here on: a numpy call per event or per 0-d value
+    # costs more than the arithmetic at the few early events a path has
+    n_early = int(np.searchsorted(events.times, tau_star, side="right"))
+    starts, rates = model.starts, model.rates
     total = 0.0
-    for u in early:
-        lam = model.rate(u)
+    for u in events.times[:n_early].tolist():
+        lam = rates[bisect_right(starts, u) - 1]
         if lam == 0.0:
             return float("-inf")
         total += math.log(lam)
-    total += math.log(m) * events.count_in(tau_star, t)
-    total -= model.cif(tau_star) - tau_star
+    total += math.log(m) * (len(events) - n_early)
+    total -= model._tail_cif(tau_star) - tau_star
     total -= (t - tau_star) * (m - 1.0)
     return total
 
@@ -149,9 +153,8 @@ def confidence_bands(ci, grid) -> BandCurve:
 def write_bands_csv(band: BandCurve, fp) -> None:
     """Write a band curve as CSV: header ``h,lower,upper``, 12 significant
     digits."""
-    fp.write("h,lower,upper\n")
-    for h, lo, hi in zip(band.grid, band.lower, band.upper):
-        fp.write(f"{h:.12g},{lo:.12g},{hi:.12g}\n")
+    _write_csv(fp, "h,lower,upper\n", "{:.12g},{:.12g},{:.12g}\n",
+               band.grid, band.lower, band.upper)
 
 
 def _slope_draws(m: float, tau: float, reps: int, seed, offset: int = 0) -> np.ndarray:

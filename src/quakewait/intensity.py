@@ -10,6 +10,7 @@ admitted through the tabulation adapter :meth:`IntensityModel.tabulated`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +46,7 @@ class IntensityModel:
             raise ModelSpecError("one rate per breakpoint required")
         if any(not s2 > s1 for s1, s2 in zip(starts, starts[1:])):
             raise ModelSpecError("breakpoints must be strictly increasing")
-        if any(r < 0 or not np.isfinite(r) for r in rates):
+        if any(not 0.0 <= r < math.inf for r in rates):
             raise ModelSpecError("rates must be finite and nonnegative")
         if not self.tail_rate > 0:
             raise ModelSpecError("tail_rate must be strictly positive")
@@ -153,6 +154,11 @@ class IntensityModel:
         cum = np.asarray(self._cum)
         idx = np.searchsorted(starts, t_arr, side="right") - 1
         return _float_if_scalar(cum[idx] + rates[idx] * (t_arr - starts[idx]))
+
+    def _tail_cif(self, t: float) -> float:
+        """Lambda(t) for a float t >= starts[-1]: the last segment's closed
+        form, the same arithmetic :meth:`cif` does there, without numpy."""
+        return self._cum[-1] + self.rates[-1] * (t - self.starts[-1])
 
     def cif_inverse(self, y):
         """Smallest t with Lambda(t) >= y.

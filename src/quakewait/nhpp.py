@@ -110,12 +110,25 @@ def sample_jump_time(model: IntensityModel, k: int, seed) -> float:
     return float(sample_jump_times(model, k, 1, seed)[0])
 
 
+_CSV_BLOCK = 4096
+
+
+def _write_csv(fp, header: str, row: str, *columns) -> None:
+    """Write ``header``, then ``row.format`` of each element of the 1-d
+    float arrays ``columns``, one ``fp.write`` per block of rows so a long
+    file is never held as one string."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    fp.write(header)
+    fmt = row.format
+    for lo in range(0, len(columns[0]), _CSV_BLOCK):
+        block = (c[lo:lo + _CSV_BLOCK].tolist() for c in columns)
+        fp.write("".join(map(fmt, *block)))
+
+
 def write_events_csv(events: EventTimes, fp) -> None:
     """Write a path as CSV: header ``time``, ascending, 12 significant
     digits."""
-    fp.write("time\n")
-    for t in events.times:
-        fp.write(f"{t:.12g}\n")
+    _write_csv(fp, "time\n", "{:.12g}\n", events.times)
 
 
 def read_events_csv(fp, horizon=None) -> EventTimes:

@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from scipy import stats
 
+from quakewait import statfn
 from quakewait.cli import main
 
 CONSTANT_MODEL = '{"segments":[[0,1]],"tail_start":0,"tail_rate":1}'
@@ -64,13 +66,23 @@ class TestGof:
         assert code == 2
         assert err == "error: expected header 't,p1,...,p10'\n"
 
-    def test_p_value_out_of_reach_exits_1(self, capsys):
-        # chi2 near df = 39999 needs more incomplete-gamma terms than the cap
+    def test_p_value_out_of_reach_exits_1(self, capsys, monkeypatch):
+        # a term cap too small for chi2 near df = 39999
+        monkeypatch.setattr(statfn, "_GAMMA_ITMAX", 1)
         code, stdout, err = run(capsys, "gof", "--n", "100", "--r", "40000",
                                 "--t", "50", "--seed", "1")
         assert code == 1
         assert stdout == ""
-        assert err == "error: incomplete gamma series did not converge in 1000 terms\n"
+        assert err == "error: incomplete gamma series did not converge in 8 terms\n"
+
+    def test_large_r_p_value(self, capsys):
+        # df = 39999 needs about 1,200 series terms, past the base cap
+        code, stdout, _ = run(capsys, "gof", "--n", "100", "--r", "40000",
+                              "--t", "50", "--seed", "1")
+        assert code == 0
+        (row,) = json.loads(stdout)
+        assert row["p_value"] == pytest.approx(
+            stats.chi2.sf(row["chi2"], 39999), abs=1e-9)
 
     def test_simulated(self, capsys):
         code, stdout, _ = run(capsys, "gof", "--m", "1", "--k", "10",

@@ -1,7 +1,10 @@
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quakewait.inference import (confidence_bands, estimate_slope,
                                  estimate_slope_with_ci, path_log_likelihood,
@@ -60,6 +63,59 @@ class TestRandomCdf:
             random_cdf(-0.1, 1.0)
 
 
+def reference_log_likelihood(events, model, t):
+    """The defining formula, one ``model.rate`` per early event and
+    ``count_in`` / ``cif`` for the rest."""
+    tau_star, m = model.tail_start, model.tail_rate
+    if t <= tau_star:
+        raise ValueError("t must exceed the model's tail_start")
+    if len(events) and events.times[-1] > t:
+        raise ValueError("events must lie within [0, t]")
+    total = 0.0
+    for u in events.times[events.times <= tau_star]:
+        lam = model.rate(u)
+        if lam == 0.0:
+            return float("-inf")
+        total += math.log(lam)
+    total += math.log(m) * events.count_in(tau_star, t)
+    total -= model.cif(tau_star) - tau_star
+    total -= (t - tau_star) * (m - 1.0)
+    return total
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def likelihood_cases(draw):
+    """A random piecewise model (zero-rate segments included), a time t
+    that is sometimes <= tail_start, and a path whose events may sit on a
+    breakpoint, on tau* or on t, or lie beyond t."""
+    gaps = draw(st.lists(st.floats(0.05, 5.0), max_size=5))
+    starts = [0.0]
+    for g in gaps:
+        starts.append(starts[-1] + g)
+    tail_rate = draw(st.floats(0.01, 10.0))
+    rates = [draw(st.sampled_from([0.0, 0.5, 2.0]) | st.floats(0.0, 10.0))
+             for _ in gaps] + [tail_rate]
+    tail_start = starts[-1] + draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 5.0))
+    model = IntensityModel(tuple(starts), tuple(rates), tail_start, tail_rate)
+    t = tail_start + draw(st.sampled_from([1.0, 7.5, 0.0, -0.5]) | st.floats(0.01, 20.0))
+    hi = max(t, tail_start, 0.01)
+    pool = draw(st.lists(st.floats(0.001, hi), max_size=12))
+    special = [*starts[1:], tail_start, t]
+    pool += [x for x in special if draw(st.booleans())]
+    if draw(st.sampled_from([False, False, False, True])):
+        pool.append(hi + draw(st.floats(0.001, 3.0)))
+    times = np.unique(np.array([x for x in pool if x > 0], dtype=float))
+    horizon = max(t, float(times[-1]) if times.size else 0.0, 0.0)
+    return EventTimes(times, horizon), model, t
+
+
 class TestPathLogLikelihood:
     def test_unit_rate_is_zero(self, constant_model):
         ev = simulate_path(constant_model, 20.0, 1)
@@ -96,6 +152,32 @@ class TestPathLogLikelihood:
         model = IntensityModel.piecewise([(0.0, 0.0), (1.0, 1.0)])
         ev = EventTimes(np.array([0.5]), 2.0)
         assert path_log_likelihood(ev, model, 2.0) == float("-inf")
+
+    @settings(max_examples=300, deadline=None)
+    @given(likelihood_cases())
+    def test_matches_reference_formula_exactly(self, case):
+        events, model, t = case
+        assert _outcome(path_log_likelihood, events, model, t) == \
+            _outcome(reference_log_likelihood, events, model, t)
+        if t > model.tail_start and not (len(events) and events.times[-1] > t):
+            early = events.times[events.times <= model.tail_start]
+            dead = any(model.rate(u) == 0.0 for u in early)
+            assert (path_log_likelihood(events, model, t) == -math.inf) == dead
+
+    def test_empty_path_matches_reference_formula(self, piecewise_model):
+        ev = EventTimes(np.empty(0), 5.0)
+        got = path_log_likelihood(ev, piecewise_model, 5.0)
+        assert got == reference_log_likelihood(ev, piecewise_model, 5.0)
+
+    @pytest.mark.parametrize("t, times, match", [
+        (1.0, [0.5], "tail_start"),
+        (0.5, [], "tail_start"),
+        (3.0, [0.5, 3.5], "within"),
+    ])
+    def test_errors(self, piecewise_model, t, times, match):
+        ev = EventTimes(np.array(times), 4.0)
+        with pytest.raises(ValueError, match=match):
+            path_log_likelihood(ev, piecewise_model, t)
 
 
 class TestSlopeCi:
@@ -159,6 +241,15 @@ class TestConfidenceBands:
         lines = out.read_text().splitlines()
         assert lines[0] == "h,lower,upper"
         assert len(lines) == 3
+
+    def test_csv_blocks_match_per_line_format(self):
+        band = confidence_bands(self.CI, np.arange(5000) * 0.01)
+        buf = io.StringIO()
+        write_bands_csv(band, buf)
+        expected = "h,lower,upper\n" + "".join(
+            f"{h:.12g},{lo:.12g},{hi:.12g}\n"
+            for h, lo, hi in zip(band.grid, band.lower, band.upper))
+        assert buf.getvalue() == expected
 
 
 class TestVerifiers:

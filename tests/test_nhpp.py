@@ -122,3 +122,12 @@ class TestCsv:
         buf = io.StringIO()
         write_events_csv(EventTimes(np.empty(0), 0.0), buf)
         assert buf.getvalue() == "time\n"
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 10_000])
+    def test_blocks_match_per_line_format(self, n):
+        # fourteen decades, so both fixed and exponent notation appear
+        rng = np.random.default_rng(n)
+        times = np.geomspace(1e-7, 1e7, n) * rng.uniform(1.0, 1.001, size=n)
+        buf = io.StringIO()
+        write_events_csv(EventTimes(times, float(times[-1]) if n else 0.0), buf)
+        assert buf.getvalue() == "time\n" + "".join(f"{t:.12g}\n" for t in times)

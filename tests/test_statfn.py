@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from quakewait import statfn
 from quakewait.statfn import (ConvergenceError, chi2_sf, ks_test, normal_cdf,
@@ -61,6 +61,15 @@ class TestChi2Sf:
     def test_nonincreasing(self):
         vals = [chi2_sf(x, 9) for x in np.linspace(0, 40, 80)]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("df", [30_000, 200_000, 1_000_000])
+    @pytest.mark.parametrize("sds", [-3.0, 0.0, 3.0])
+    def test_large_df_matches_scipy(self, df, sds):
+        # the series needs about 8.6 sqrt(df / 2) terms at the mean, more
+        # than _GAMMA_ITMAX above df = 27,000; the error is 2e-10 at the
+        # mean for df = 2e5, from the prefactor's exponent
+        x = df + sds * math.sqrt(2.0 * df)
+        assert chi2_sf(x, df) == pytest.approx(stats.chi2.sf(x, df), abs=1e-9)
 
     def test_domain(self):
         with pytest.raises(ValueError):
