@@ -88,19 +88,21 @@ def path_log_likelihood(events: EventTimes, model: IntensityModel, t: float) -> 
     m = model.tail_rate
     if t <= tau_star:
         raise ValueError("t must exceed the model's tail_start")
-    if len(events) and events.times[-1] > t:
+    times = events.times
+    n = len(events)
+    if n and times[-1] > t:
         raise ValueError("events must lie within [0, t]")
     # plain floats from here on: a numpy call per event or per 0-d value
     # costs more than the arithmetic at the few early events a path has
-    n_early = int(np.searchsorted(events.times, tau_star, side="right"))
+    n_early = int(times.searchsorted(tau_star, side="right"))
     starts, rates = model.starts, model.rates
     total = 0.0
-    for u in events.times[:n_early].tolist():
+    for u in times[:n_early].tolist():
         lam = rates[bisect_right(starts, u) - 1]
         if lam == 0.0:
             return float("-inf")
         total += math.log(lam)
-    total += math.log(m) * (len(events) - n_early)
+    total += math.log(m) * (n - n_early)
     total -= model._tail_cif(tau_star) - tau_star
     total -= (t - tau_star) * (m - 1.0)
     return total
@@ -153,7 +155,7 @@ def confidence_bands(ci, grid) -> BandCurve:
 def write_bands_csv(band: BandCurve, fp) -> None:
     """Write a band curve as CSV: header ``h,lower,upper``, 12 significant
     digits."""
-    _write_csv(fp, "h,lower,upper\n", "{:.12g},{:.12g},{:.12g}\n",
+    _write_csv(fp, "h,lower,upper\n", "%.12g,%.12g,%.12g\n",
                band.grid, band.lower, band.upper)
 
 

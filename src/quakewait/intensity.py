@@ -38,33 +38,40 @@ class IntensityModel:
     _cum: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        starts = tuple(float(s) for s in self.starts)
-        rates = tuple(float(r) for r in self.rates)
+        starts = tuple(map(float, self.starts))
+        rates = tuple(map(float, self.rates))
         if not starts or starts[0] != 0.0:
             raise ModelSpecError("segments must start at time 0")
         if len(starts) != len(rates):
             raise ModelSpecError("one rate per breakpoint required")
-        if any(not s2 > s1 for s1, s2 in zip(starts, starts[1:])):
+        # one pass: note each defect and accumulate the cumulative rate at
+        # each segment start; the defects are raised after the pass so that
+        # their precedence does not depend on where they occur
+        s0, r0 = starts[0], rates[0]
+        increasing, finite = True, 0.0 <= r0 < math.inf
+        cum = [0.0]
+        for i in range(1, len(starts)):
+            s, r = starts[i], rates[i]
+            increasing = increasing and s > s0
+            finite = finite and 0.0 <= r < math.inf
+            cum.append(cum[-1] + r0 * (s - s0))
+            s0, r0 = s, r
+        if not increasing:
             raise ModelSpecError("breakpoints must be strictly increasing")
-        if any(not 0.0 <= r < math.inf for r in rates):
+        if not finite:
             raise ModelSpecError("rates must be finite and nonnegative")
         if not self.tail_rate > 0:
             raise ModelSpecError("tail_rate must be strictly positive")
         if not self.tail_start >= 0:
             raise ModelSpecError("tail_start must be nonnegative")
-        if starts[-1] > self.tail_start:
+        if s0 > self.tail_start:
             raise ModelSpecError("no breakpoint may lie beyond tail_start")
-        if rates[-1] != self.tail_rate:
+        if r0 != self.tail_rate:
             raise ModelSpecError("last segment rate must equal tail_rate")
-        # cumulative rate at each segment start
-        cum = [0.0]
-        for i in range(1, len(starts)):
-            cum.append(cum[-1] + rates[i - 1] * (starts[i] - starts[i - 1]))
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "tail_start", float(self.tail_start))
-        object.__setattr__(self, "tail_rate", float(self.tail_rate))
-        object.__setattr__(self, "_cum", tuple(cum))
+        # frozen: write the converted fields straight into the instance
+        self.__dict__.update(starts=starts, rates=rates,
+                             tail_start=float(self.tail_start),
+                             tail_rate=float(self.tail_rate), _cum=tuple(cum))
 
     # -- constructors -------------------------------------------------
 
@@ -77,11 +84,12 @@ class IntensityModel:
     def piecewise(cls, segments, tail_start=None, tail_rate=None) -> "IntensityModel":
         """Build from ``[(start, rate), ...]``; tail defaults to the last
         segment."""
-        segments = list(segments)
-        if not segments:
+        starts, rates = [], []
+        for s, r in segments:
+            starts.append(s)
+            rates.append(r)
+        if not starts:
             raise ModelSpecError("at least one segment required")
-        starts = tuple(s for s, _ in segments)
-        rates = tuple(r for _, r in segments)
         if tail_start is None:
             tail_start = starts[-1]
         if tail_rate is None:

@@ -114,21 +114,24 @@ _CSV_BLOCK = 4096
 
 
 def _write_csv(fp, header: str, row: str, *columns) -> None:
-    """Write ``header``, then ``row.format`` of each element of the 1-d
-    float arrays ``columns``, one ``fp.write`` per block of rows so a long
-    file is never held as one string."""
+    """Write ``header``, then one ``%``-style ``row`` per element of the
+    equal-length 1-d float arrays ``columns``.
+
+    Each block of rows is formatted in one operation, ``row`` repeated once
+    per row applied to the block's values in row order, and written in one
+    ``fp.write``, so a long file is never held as one string.
+    """
     columns = [np.asarray(c, dtype=float) for c in columns]
     fp.write(header)
-    fmt = row.format
     for lo in range(0, len(columns[0]), _CSV_BLOCK):
-        block = (c[lo:lo + _CSV_BLOCK].tolist() for c in columns)
-        fp.write("".join(map(fmt, *block)))
+        block = np.stack([c[lo:lo + _CSV_BLOCK] for c in columns], axis=1)
+        fp.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_events_csv(events: EventTimes, fp) -> None:
     """Write a path as CSV: header ``time``, ascending, 12 significant
     digits."""
-    _write_csv(fp, "time\n", "{:.12g}\n", events.times)
+    _write_csv(fp, "time\n", "%.12g\n", events.times)
 
 
 def read_events_csv(fp, horizon=None) -> EventTimes:

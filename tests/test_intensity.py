@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quakewait.intensity import IntensityModel, ModelSpecError
 
@@ -152,3 +155,82 @@ class TestTabulated:
         with pytest.raises(ModelSpecError):
             IntensityModel.tabulated(lambda t: 1.0, grid=[0.5, 1.0],
                                      tail_start=1.0, tail_rate=1.0)
+
+
+def reference_spec(starts, rates, tail_start, tail_rate):
+    """The multi-pass construction checks, kept as the reference for the
+    one-pass ``__post_init__``: the first error message, else the
+    converted ``(starts, rates, cum)``."""
+    starts = tuple(float(s) for s in starts)
+    rates = tuple(float(r) for r in rates)
+    if not starts or starts[0] != 0.0:
+        return "segments must start at time 0"
+    if len(starts) != len(rates):
+        return "one rate per breakpoint required"
+    if any(not s2 > s1 for s1, s2 in zip(starts, starts[1:])):
+        return "breakpoints must be strictly increasing"
+    if any(not 0.0 <= r < math.inf for r in rates):
+        return "rates must be finite and nonnegative"
+    if not tail_rate > 0:
+        return "tail_rate must be strictly positive"
+    if not tail_start >= 0:
+        return "tail_start must be nonnegative"
+    if starts[-1] > tail_start:
+        return "no breakpoint may lie beyond tail_start"
+    if rates[-1] != tail_rate:
+        return "last segment rate must equal tail_rate"
+    cum = [0.0]
+    for i in range(1, len(starts)):
+        cum.append(cum[-1] + rates[i - 1] * (starts[i] - starts[i - 1]))
+    return starts, rates, tuple(cum)
+
+
+def _built(build):
+    try:
+        model = build()
+    except ModelSpecError as exc:
+        return str(exc)
+    return model.starts, model.rates, model._cum
+
+
+_BAD = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0])
+
+
+@st.composite
+def model_specs(draw):
+    """Mostly valid specs, each with a chance of one or more defects:
+    NaN, infinite or negative values, unsorted or duplicate breakpoints, a
+    mismatched tail, a length mismatch or no segments at all."""
+    n = draw(st.integers(0, 6))
+    starts = [0.0] + sorted(draw(st.lists(st.floats(0.01, 50.0), min_size=n, max_size=n)))
+    rates = draw(st.lists(st.floats(0.0, 10.0), min_size=n + 1, max_size=n + 1))
+    for values in (starts, rates):
+        if draw(st.integers(0, 3)) == 0:
+            values[draw(st.integers(0, n))] = draw(_BAD | st.floats(0.0, 50.0))
+    if n and draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(1, n))
+        starts[i] = starts[i - 1]
+    if draw(st.integers(0, 7)) == 0:
+        starts.pop() if draw(st.booleans()) else rates.pop()
+    if draw(st.integers(0, 9)) == 0:
+        starts, rates = [], []
+    tail_start = (starts[-1] if starts else 0.0) + draw(st.sampled_from([0.0, 1.0]))
+    tail_rate = rates[-1] if rates else 1.0
+    if draw(st.integers(0, 3)) == 0:
+        tail_start = draw(_BAD | st.floats(0.0, 60.0))
+    if draw(st.integers(0, 3)) == 0:
+        tail_rate = draw(_BAD | st.floats(0.0, 10.0))
+    return starts, rates, tail_start, tail_rate
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=model_specs())
+def test_one_pass_construction_matches_reference(spec):
+    starts, rates, tail_start, tail_rate = spec
+    expected = reference_spec(starts, rates, tail_start, tail_rate)
+    assert _built(lambda: IntensityModel(
+        tuple(starts), tuple(rates), tail_start, tail_rate)) == expected
+    if len(starts) == len(rates):
+        expected = expected if starts else "at least one segment required"
+        assert _built(lambda: IntensityModel.piecewise(
+            list(zip(starts, rates)), tail_start, tail_rate)) == expected

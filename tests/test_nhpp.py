@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from quakewait.limitlaw import limit_cdf
-from quakewait.nhpp import (EventTimes, jump_time_pdf, read_events_csv,
+from quakewait.nhpp import (EventTimes, _write_csv, jump_time_pdf, read_events_csv,
                             sample_jump_times, simulate_path, write_events_csv)
 from quakewait.rng import substream
 from quakewait.statfn import ks_test
@@ -131,3 +133,28 @@ class TestCsv:
         buf = io.StringIO()
         write_events_csv(EventTimes(times, float(times[-1]) if n else 0.0), buf)
         assert buf.getvalue() == "time\n" + "".join(f"{t:.12g}\n" for t in times)
+
+
+# values whose text is easy to get wrong: signed zero and NaN, infinities,
+# subnormals and the extremes of the normal range
+_ODD_FLOATS = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                               5e-324, -2.5e-310, 2.2250738585072014e-308,
+                               1.7976931348623157e308, 1e-5, 1e16, 123456789012.5])
+
+
+@pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("ncols", [1, 3])
+@settings(max_examples=10, deadline=None)
+@given(pool=st.lists(st.floats() | _ODD_FLOATS, min_size=1, max_size=40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_write_csv_matches_per_row_format(ncols, n, pool, seed):
+    """The block writer's rows equal one ``str.format`` per row."""
+    rng = np.random.default_rng(seed)
+    columns = [rng.choice(np.array(pool), size=n) for _ in range(ncols)]
+    row, fmt = {1: ("%.12g\n", "{:.12g}\n"),
+                3: ("%.12g,%.12g,%.12g\n", "{:.12g},{:.12g},{:.12g}\n")}[ncols]
+    buf = io.StringIO()
+    _write_csv(buf, "head\n", row, *columns)
+    expected = "head\n" + "".join(
+        fmt.format(*vals) for vals in zip(*(c.tolist() for c in columns)))
+    assert buf.getvalue() == expected

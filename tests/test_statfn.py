@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from quakewait import statfn
-from quakewait.statfn import (ConvergenceError, chi2_sf, ks_test, normal_cdf,
-                              normal_quantile, reg_lower_incomplete_gamma)
+from quakewait.statfn import (ConvergenceError, chi2_sf, kolmogorov_sf, ks_test,
+                              normal_cdf, normal_quantile, reg_lower_incomplete_gamma)
 
 
 def gamma_cdf_quadrature(s, x):
@@ -66,10 +67,20 @@ class TestChi2Sf:
     @pytest.mark.parametrize("sds", [-3.0, 0.0, 3.0])
     def test_large_df_matches_scipy(self, df, sds):
         # the series needs about 8.6 sqrt(df / 2) terms at the mean, more
-        # than _GAMMA_ITMAX above df = 27,000; the error is 2e-10 at the
-        # mean for df = 2e5, from the prefactor's exponent
+        # than _GAMMA_ITMAX above df = 27,000
         x = df + sds * math.sqrt(2.0 * df)
-        assert chi2_sf(x, df) == pytest.approx(stats.chi2.sf(x, df), abs=1e-9)
+        assert chi2_sf(x, df) == pytest.approx(stats.chi2.sf(x, df), abs=1e-13)
+
+    @pytest.mark.parametrize("df", [200_000, 1_000_000])
+    @pytest.mark.parametrize("sds", [-3.0, 0.0, 3.0])
+    def test_large_df_matches_mpmath(self, df, sds):
+        # the direct prefactor exp(-x + s log x - lgamma(s)) loses about
+        # 2e-10 here to cancellation
+        x = df + sds * math.sqrt(2.0 * df)
+        with mpmath.workdps(40):
+            expected = mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2,
+                                       mpmath.inf, regularized=True)
+        assert chi2_sf(x, df) == pytest.approx(float(expected), abs=1e-13)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -100,6 +111,24 @@ class TestNormalQuantile:
 
     def test_symmetry(self):
         assert normal_quantile(0.3) == pytest.approx(-normal_quantile(0.7), abs=1e-12)
+
+
+class TestKolmogorovSf:
+    def test_matches_scipy(self):
+        # the alternating series alone does not converge below about 0.03
+        # (0.110 at 0.002, 0.945 at 0.01)
+        lams = np.concatenate([np.geomspace(1e-4, 10.0, 400), [0.002, 0.005, 0.01, 1.0]])
+        got = np.array([kolmogorov_sf(lam) for lam in lams])
+        assert np.max(np.abs(got - special.kolmogorov(lams))) <= 1e-14
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_nonpositive_argument(self, lam):
+        assert kolmogorov_sf(lam) == 1.0
+
+    def test_perfect_uniform_grid(self):
+        n = 62_500
+        res = ks_test((np.arange(1, n + 1) - 0.5) / n, lambda x: x)
+        assert res.p_value == 1.0
 
 
 class TestKsTest:
