@@ -67,20 +67,24 @@ def limit_cdf(m: float, h):
     return random_cdf(m, h)
 
 
+def _log_survival(law: WaitingLaw, h):
+    """log(1 - G_t(h)) = (k-1) log1p(h/t) - m h, unchecked: ``h`` is a
+    float or float array with every element >= 0."""
+    if law.k == 1:
+        return -law.m * h
+    return (law.k - 1) * np.log1p(h / law.t) - law.m * h
+
+
 def conditional_cdf(law: WaitingLaw, h):
     """Conditional CDF: 1 - (1 + h/t)^{k-1} exp(-m h)."""
-    if law.k == 1:
-        return limit_cdf(law.m, h)
-    h_arr = _nonneg(h, "h")
-    return _float_if_scalar(
-        -np.expm1((law.k - 1) * np.log1p(h_arr / law.t) - law.m * h_arr))
+    return _float_if_scalar(-np.expm1(_log_survival(law, _nonneg(h, "h"))))
 
 
 def sample_conditional(law: WaitingLaw, n: int, seed) -> np.ndarray:
     """Inverse-transform sampling by Newton's method on the log-survival.
 
     Each uniform u is inverted by solving f(h) = 0 for
-    f(h) = (k-1) log1p(h/t) - m h - log1p(-u), whose derivative is
+    f(h) = _log_survival(law, h) - log1p(-u), whose derivative is
     f'(h) = -(m t - (k-1) + m h) / (t + h).  Where the law is valid
     (m t >= k-1), f is concave and non-increasing on h >= 0.  The start,
     the exponential quantile -log1p(-u)/m, has f >= 0 and is exact for
@@ -101,10 +105,11 @@ def sample_conditional(law: WaitingLaw, n: int, seed) -> np.ndarray:
     # u = 0 and f = 0 too; the floor turns that 0/0 into a zero step
     tiny = np.finfo(float).tiny
     for _ in range(_MAX_ITER):
-        if np.max(np.abs(conditional_cdf(law, h) - u)) <= _U_TOL:
+        g = _log_survival(law, h)
+        if np.max(np.abs(-np.expm1(g) - u)) <= _U_TOL:
             return h
-        f = (law.k - 1) * np.log1p(h / law.t) - law.m * h - log_surv
-        h += f * (law.t + h) / np.maximum(excess + law.m * h, tiny)  # h - f/f'
+        # h - f/f'
+        h += (g - log_surv) * (law.t + h) / np.maximum(excess + law.m * h, tiny)
     raise ConvergenceError(
         f"sample_conditional did not converge in {_MAX_ITER} Newton steps")
 
