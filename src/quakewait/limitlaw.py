@@ -43,13 +43,15 @@ class WaitingLaw:
             raise ValidityError("m must be strictly positive")
         if not self.t >= 0:
             raise ValidityError("t must be nonnegative")
+        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "m", float(self.m))
+        # checked on the stored floats, so that m t - (k-1) >= 0 holds in
+        # the arithmetic _log_survival does
         if self.m * self.t < self.k - 1:
             raise ValidityError(
                 f"need m*t >= k-1 for a valid CDF (got m*t={self.m * self.t}, "
                 f"k-1={self.k - 1})")
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "m", float(self.m))
 
 
 def random_cdf(m_hat: float, h):
@@ -69,10 +71,16 @@ def limit_cdf(m: float, h):
 
 def _log_survival(law: WaitingLaw, h):
     """log(1 - G_t(h)) = (k-1) log1p(h/t) - m h, unchecked: ``h`` is a
-    float or float array with every element >= 0."""
+    float or float array with every element >= 0.
+
+    With x = h/t it is written as (k-1) (log1p(x) - x) - (m t - (k-1)) x.
+    Both terms are <= 0 on a valid law, so they cannot cancel and
+    1 - exp of the sum stays in [0, 1] and nondecreasing in h.
+    """
     if law.k == 1:
         return -law.m * h
-    return (law.k - 1) * np.log1p(h / law.t) - law.m * h
+    x = h / law.t
+    return (law.k - 1) * (np.log1p(x) - x) - (law.m * law.t - (law.k - 1)) * x
 
 
 def conditional_cdf(law: WaitingLaw, h):

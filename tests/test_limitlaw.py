@@ -71,6 +71,13 @@ class TestConditionalCdf:
                 constant_model, k, t)
             assert conditional_cdf(law, h) == pytest.approx(1.0 - ratio, abs=1e-12)
 
+    def test_boundary_near_zero(self):
+        # on the boundary m t = k-1 the terms (k-1) log1p(h/t) and -m h
+        # nearly cancel at small h
+        assert conditional_cdf(WaitingLaw(4 / 3, 3, 1.5), 1e-17) >= 0.0
+        low, high = conditional_cdf(WaitingLaw(2, 3, 1), np.array([5e-324, 6.9e-243]))
+        assert high >= low
+
     def test_is_valid_cdf(self):
         law = WaitingLaw(12.0, 10, 1.0)
         grid = np.linspace(0, 60, 2000)
