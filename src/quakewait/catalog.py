@@ -20,7 +20,6 @@ from .limitlaw import random_cdf
 from .statfn import _float_if_scalar, _nonneg
 
 MAJOR_THRESHOLD = 8.5
-MODERATE_THRESHOLD = 7.0
 
 # Reference comparison values published for the Area A analysis, keyed by
 # elapsed time t of the second segment: (h, estimated CDF).  Only the t=53
@@ -109,7 +108,7 @@ def segment_by_major(events, threshold: float = MAJOR_THRESHOLD) -> list[Catalog
     sub-threshold events are timed as year differences.  Events before the
     first anchor are discarded with a warning.
     """
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValueError("threshold must be strictly positive")
     segments: list[CatalogSegment] = []
     anchor = None

@@ -19,8 +19,8 @@ import numpy as np
 from . import catalog as cat
 from . import gof as gofmod
 from . import inference
-from .intensity import IntensityModel, ModelSpecError
-from .limitlaw import ValidityError, random_cdf
+from .intensity import IntensityModel
+from .limitlaw import random_cdf
 from .nhpp import simulate_path, write_events_csv
 from .statfn import ConvergenceError
 
@@ -155,6 +155,9 @@ def _cmd_analyze(args) -> int:
             "rows": rows,
         })
     if args.compare_t:
+        if not 1 <= args.segment <= len(segments):
+            raise ValueError(f"--segment must lie between 1 and the number of "
+                             f"segments, {len(segments)}")
         seg = segments[args.segment - 1]
         comparisons = []
         notes = {n.t: n for n in cat.reproducibility_report(seg)}
@@ -170,8 +173,14 @@ def _cmd_analyze(args) -> int:
             })
         out["comparisons"] = comparisons
     if args.bands:
-        open_segments = [s for s in segments if not s.closed] or segments
-        seg = open_segments[-1]
+        if not args.h_step > 0:
+            raise ValueError("--h-step must be strictly positive")
+        if not segments:
+            raise ValueError("--bands needs a segment, and no event reaches "
+                             "the major threshold")
+        seg = segments[-1]
+        if not seg.relative_times:
+            raise ValueError("--bands needs a moderate event in the last segment")
         t = seg.relative_times[-1]
         m_hat = float(cat.slope_at(seg, t))
         low, high = inference.slope_ci(m_hat, 0.0, float(t), args.alpha)
@@ -267,8 +276,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ModelSpecError, ValidityError, cat.CatalogFormatError, ValueError,
-            OSError, IndexError) as exc:
+    except (ValueError, OSError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

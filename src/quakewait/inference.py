@@ -176,7 +176,7 @@ def verify_clt(m: float, t: float, reps: int, seed) -> KsCheck:
     replicates."""
     if reps < 100:
         raise ValueError("at least 100 replicates required")
-    if m <= 0 or t <= 0:
+    if not (m > 0 and t > 0):
         raise ValueError("m and t must be strictly positive")
     m_hats = _slope_draws(m, t, reps, seed)
     stats = math.sqrt(t) * (m_hats - m)
@@ -189,8 +189,14 @@ def verify_glivenko_cantelli(m: float, taus, reps: int, seed) -> GcCheck:
     """Median sup-distance between the estimated and true limit CDFs, per
     window length; medians should shrink as the window grows."""
     taus = tuple(float(t) for t in taus)
+    if reps < 1:
+        raise ValueError("at least one replicate required")
+    if not m > 0:
+        raise ValueError("m must be strictly positive")
     if len(taus) < 2:
         raise ValueError("at least two window lengths required")
+    if not all(t > 0 for t in taus):
+        raise ValueError("window lengths must be strictly positive")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError("window lengths must be increasing")
     medians = []
@@ -206,7 +212,7 @@ def verify_kolmogorov_limit(m: float, tau: float, reps: int, seed) -> KsCheck:
     ``reps`` replicates."""
     if reps < 500:
         raise ValueError("at least 500 replicates required")
-    if m <= 0 or tau <= 0:
+    if not (m > 0 and tau > 0):
         raise ValueError("m and tau must be strictly positive")
     m_hats = _slope_draws(m, tau, reps, seed)
     stats = math.sqrt(tau) * np.array([sup_distance_exp(mh, m) for mh in m_hats])

@@ -34,7 +34,6 @@ class IntensityModel:
     rates: tuple
     tail_start: float
     tail_rate: float
-    kind: str = "piecewise-constant"
     _cum: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -78,7 +77,7 @@ class IntensityModel:
     @classmethod
     def constant(cls, rate: float) -> "IntensityModel":
         """Homogeneous model with lambda(t) = rate for all t."""
-        return cls((0.0,), (float(rate),), 0.0, float(rate), kind="constant")
+        return cls((0.0,), (float(rate),), 0.0, float(rate))
 
     @classmethod
     def piecewise(cls, segments, tail_start=None, tail_rate=None) -> "IntensityModel":
@@ -112,9 +111,7 @@ class IntensityModel:
             rates.append(float(rate_fn(0.5 * (a + b))))
         starts.append(grid[-1])
         rates.append(float(tail_rate))
-        model = cls(tuple(starts), tuple(rates), tail_start, tail_rate,
-                    kind="tabulated")
-        return model
+        return cls(tuple(starts), tuple(rates), tail_start, tail_rate)
 
     @classmethod
     def from_spec(cls, spec: dict) -> "IntensityModel":

@@ -52,8 +52,8 @@ class EventTimes:
 
 def simulate_path(model: IntensityModel, horizon: float, seed) -> EventTimes:
     """Simulate one path on [0, horizon]; deterministic given the seed."""
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    if not 0 <= horizon < math.inf:
+        raise ValueError("horizon must be finite and nonnegative")
     rng = as_generator(seed)
     total = model.cif(horizon)
     epochs = []

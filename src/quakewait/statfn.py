@@ -225,7 +225,7 @@ def normal_quantile(p: float) -> float:
     return x - u / (1.0 + 0.5 * x * u)
 
 
-def kolmogorov_sf(lam: float, terms: int = 120) -> float:
+def kolmogorov_sf(lam: float) -> float:
     """Asymptotic Kolmogorov survival function
     Q(lam) = 2 sum_{j>=1} (-1)^{j-1} exp(-2 j^2 lam^2), and 1 for lam <= 0.
 
@@ -241,7 +241,7 @@ def kolmogorov_sf(lam: float, terms: int = 120) -> float:
         total = sum(math.exp(-(2 * j - 1) ** 2 * a * a / 8.0) for j in range(1, 5))
         return 1.0 - math.sqrt(2.0 * math.pi) * total / lam
     total = 0.0
-    for j in range(1, terms + 1):
+    for j in range(1, 121):
         total += (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
     return min(max(2.0 * total, 0.0), 1.0)
 

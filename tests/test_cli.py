@@ -167,3 +167,36 @@ class TestVerify:
                               "--t", "1000", "--reps", "200")
         assert code == 0
         assert isinstance(json.loads(stdout)["seed"], int)
+
+
+class TestBadInput:
+    """A bad input exits 2 with one ``error:`` line and no traceback."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["simulate", "--horizon", "inf"], "horizon must be finite and nonnegative"),
+        (["simulate", "--horizon", "nan"], "horizon must be finite and nonnegative"),
+        (["analyze", "--bands", "--h-step", "0"], "--h-step must be strictly positive"),
+        (["analyze", "--compare-t", "53", "--segment", "-1"], "--segment must lie"),
+        (["analyze", "--compare-t", "53", "--segment", "0"], "--segment must lie"),
+        (["analyze", "--compare-t", "53", "--segment", "9"], "--segment must lie"),
+        (["analyze", "--bands", "--major-threshold", "10"], "no event reaches"),
+        (["analyze", "--bands", "--catalog", "{lone_major}"], "needs a moderate event"),
+        (["analyze", "--major-threshold", "nan"], "threshold must be strictly positive"),
+        (["verify", "gc", "--t", "10,100", "--reps", "0"], "at least one replicate"),
+        (["verify", "gc", "--t", "10,100", "--m", "0"], "m must be strictly positive"),
+    ], ids=["horizon_inf", "horizon_nan", "h_step_zero", "segment_negative",
+            "segment_zero", "segment_past_end", "bands_without_segment",
+            "bands_without_moderate_event", "major_threshold_nan", "gc_reps_zero",
+            "gc_m_zero"])
+    def test_exits_2_with_one_line(self, capsys, tmp_path, args, message):
+        lone_major = tmp_path / "lone.csv"
+        lone_major.write_text("year,magnitude\n1900,9.0\n")
+        args = [a.format(lone_major=lone_major) for a in args]
+        if args[0] == "simulate":
+            args += ["--model", CONSTANT_MODEL, "--seed", "1",
+                     "--out", str(tmp_path / "ev.csv")]
+        code, stdout, err = run(capsys, *args)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from quakewait.catalog import EmpiricalCdf
+from quakewait.catalog import EmpiricalCdf, segment_by_major
 from quakewait.intensity import IntensityModel
-from quakewait.inference import random_cdf, slope_ci
+from quakewait.inference import (random_cdf, slope_ci, verify_clt,
+                                 verify_glivenko_cantelli, verify_kolmogorov_limit)
 from quakewait.limitlaw import (WaitingLaw, breakpoints, conditional_cdf, limit_cdf,
                                 sup_distance_exp)
 from quakewait.statfn import folded_normal_cdf, normal_cdf
@@ -86,12 +87,21 @@ def test_negative_or_nan_raises(name, bad, arr):
     lambda: IntensityModel((0.0,), (1.0,), math.nan, 1.0),
     lambda: IntensityModel((0.0,), (1.0,), 0.0, math.nan),
     lambda: IntensityModel.piecewise([(0.0, 2.0), (math.nan, 1.0)]),
+    lambda: verify_clt(math.nan, 100.0, 100, 0),
+    lambda: verify_clt(1.0, math.nan, 100, 0),
+    lambda: verify_kolmogorov_limit(math.nan, 100.0, 500, 0),
+    lambda: verify_kolmogorov_limit(1.0, math.nan, 500, 0),
+    lambda: verify_glivenko_cantelli(math.nan, (10.0, 100.0), 10, 0),
+    lambda: verify_glivenko_cantelli(1.0, (10.0, math.nan), 10, 0),
+    lambda: segment_by_major([], math.nan),
 ], ids=["limit_cdf_m", "random_cdf_m", "waiting_law_t", "waiting_law_m",
         "breakpoints_m", "sup_distance_a", "sup_distance_b", "slope_ci_m_hat",
         "slope_ci_tau_star", "slope_ci_tau", "model_tail_start", "model_tail_rate",
-        "model_breakpoint"])
+        "model_breakpoint", "verify_clt_m", "verify_clt_t", "verify_kolmogorov_m",
+        "verify_kolmogorov_tau", "verify_gc_m", "verify_gc_tau", "major_threshold"])
 def test_nan_parameter_is_rejected(call):
-    with pytest.raises(ValueError):
+    # our own message, not one numpy raises further in
+    with pytest.raises(ValueError, match="must"):
         call()
 
 
