@@ -4,7 +4,7 @@ family, slope inference with confidence bands, goodness-of-fit, and
 earthquake catalog analysis."""
 
 from .intensity import IntensityModel, ModelSpecError
-from .nhpp import EventTimes, simulate_path, jump_time_pdf, sample_jump_time, sample_jump_times
+from .nhpp import EventTimes, simulate_path, jump_time_pdf, sample_jump_times
 from .limitlaw import (WaitingLaw, ValidityError, limit_cdf, conditional_cdf,
                        random_cdf, sample_conditional, breakpoints, sup_distance_exp)
 from .statfn import (KsResult, reg_lower_incomplete_gamma, chi2_sf,

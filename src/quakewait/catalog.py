@@ -162,7 +162,14 @@ class EmpiricalCdf:
     later event (tied times give a double jump)."""
 
     jumps: tuple
-    n: int
+
+    def __post_init__(self):
+        if not self.jumps or any(b < a for a, b in zip(self.jumps, self.jumps[1:])):
+            raise ValueError("jumps must be nonempty and nondecreasing")
+
+    @property
+    def n(self) -> int:
+        return len(self.jumps)
 
     def __call__(self, h):
         out = np.searchsorted(np.asarray(self.jumps, dtype=float), _nonneg(h, "h"),
@@ -178,7 +185,7 @@ def empirical_waiting_cdf(segment: CatalogSegment, t: int) -> EmpiricalCdf:
     later = [rt - t for rt in segment.relative_times if rt > t]
     if not later:
         raise ValueError(f"no events after t={t} in this segment")
-    return EmpiricalCdf(tuple(later), len(later))
+    return EmpiricalCdf(tuple(later))
 
 
 @dataclass(frozen=True)

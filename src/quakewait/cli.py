@@ -13,6 +13,7 @@ import csv
 import json
 import secrets
 import sys
+import warnings
 
 import numpy as np
 
@@ -90,7 +91,8 @@ def _cmd_gof(args) -> int:
                 for r in reports]
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
-        writer.writerow(["t"] + [f"p{i}" for i in range(1, 11)] + ["chi2", "p_value"])
+        r = len(rows[0]["percentages"]) if rows else 10
+        writer.writerow(["t"] + [f"p{i}" for i in range(1, r + 1)] + ["chi2", "p_value"])
         for row in rows:
             writer.writerow([row["t"], *row["percentages"], row["chi2"], row["p_value"]])
     else:
@@ -274,14 +276,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # one "warning:" line each, ahead of any error line
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                          file=sys.stderr)
+        try:
+            return args.func(args)
+        except (ValueError, OSError, IndexError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except ConvergenceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limitlaw import WaitingLaw, breakpoints, sample_conditional
-from .rng import substream
+from .rng import substreams
 from .statfn import chi2_sf
 
 
@@ -81,9 +81,9 @@ def table1_experiment(m: float, k: int, t_values, n: int, seed,
         raise ValueError("n must be at least 1")
     cuts = breakpoints(m, r)
     reports = []
-    for i, t in enumerate(t_values):
+    for t, gen in zip(t_values, substreams(seed, len(t_values))):
         law = WaitingLaw(t, k, m)
-        samples = sample_conditional(law, n, substream(seed, i))
+        samples = sample_conditional(law, n, gen)
         perc = bin_percentages(samples, cuts)
         stat = _pearson(perc, r)
         p = chi2_sf(stat, r - 1)

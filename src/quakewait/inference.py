@@ -122,9 +122,9 @@ def slope_ci(m_hat: float, tau_star: float, tau: float, alpha: float):
     x = normal_quantile(1.0 - alpha / 2.0)
     half_sum = x * x / t + 2.0 * m_hat
     half_diff = (x / math.sqrt(t)) * math.sqrt(x * x / t + 4.0 * m_hat)
-    low = max(0.5 * (half_sum - half_diff), 0.0)
     high = 0.5 * (half_sum + half_diff)
-    return low, high
+    # the roots multiply to m_hat^2 (high is 0 only if m_hat = 0 and t = inf)
+    return (m_hat * m_hat / high if high > 0 else 0.0), high
 
 
 def estimate_slope_with_ci(events: EventTimes, tau_star: float, tau: float,
@@ -159,16 +159,16 @@ def write_bands_csv(band: BandCurve, fp) -> None:
                band.grid, band.lower, band.upper)
 
 
-def _slope_draws(m: float, tau: float, reps: int, seed, offset: int = 0) -> np.ndarray:
-    """Replicate slope estimates at constant rate m over [0, tau].
+def _slope_draws(m: float, windows, seed) -> np.ndarray:
+    """Slope estimates at constant rate m, replicate i over [0, windows[i]].
 
-    Only the event count enters the estimator, so each replicate draws
-    N_tau ~ Poisson(m tau) from its own substream rather than materializing
+    Only the event count enters the estimator, so replicate i draws
+    N ~ Poisson(m windows[i]) from substream i rather than materializing
     the full path; the distribution of the estimate is identical.
     """
-    gens = substreams(seed, reps, offset)
-    counts = np.array([g.poisson(m * tau) for g in gens], dtype=float)
-    return counts / tau
+    gens = substreams(seed, len(windows))
+    counts = np.array([g.poisson(m * w) for g, w in zip(gens, windows)], dtype=float)
+    return counts / windows
 
 
 def verify_clt(m: float, t: float, reps: int, seed) -> KsCheck:
@@ -178,7 +178,7 @@ def verify_clt(m: float, t: float, reps: int, seed) -> KsCheck:
         raise ValueError("at least 100 replicates required")
     if not (m > 0 and t > 0):
         raise ValueError("m and t must be strictly positive")
-    m_hats = _slope_draws(m, t, reps, seed)
+    m_hats = _slope_draws(m, np.full(reps, t), seed)
     stats = math.sqrt(t) * (m_hats - m)
     sd = math.sqrt(m)
     ks = ks_test(stats, lambda x: normal_cdf(x / sd))
@@ -199,12 +199,11 @@ def verify_glivenko_cantelli(m: float, taus, reps: int, seed) -> GcCheck:
         raise ValueError("window lengths must be strictly positive")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError("window lengths must be increasing")
-    medians = []
-    for j, tau in enumerate(taus):
-        m_hats = _slope_draws(m, tau, reps, seed, offset=j * reps)
-        dists = np.array([sup_distance_exp(mh, m) for mh in m_hats])
-        medians.append(float(np.median(dists)))
-    return GcCheck(taus, tuple(medians))
+    # window j takes replicates j*reps .. (j+1)*reps - 1 of one run
+    m_hats = _slope_draws(m, np.repeat(taus, reps), seed)
+    dists = np.array([sup_distance_exp(mh, m) for mh in m_hats])
+    medians = np.median(dists.reshape(len(taus), reps), axis=1)
+    return GcCheck(taus, tuple(medians.tolist()))
 
 
 def verify_kolmogorov_limit(m: float, tau: float, reps: int, seed) -> KsCheck:
@@ -214,7 +213,7 @@ def verify_kolmogorov_limit(m: float, tau: float, reps: int, seed) -> KsCheck:
         raise ValueError("at least 500 replicates required")
     if not (m > 0 and tau > 0):
         raise ValueError("m and tau must be strictly positive")
-    m_hats = _slope_draws(m, tau, reps, seed)
+    m_hats = _slope_draws(m, np.full(reps, tau), seed)
     stats = math.sqrt(tau) * np.array([sup_distance_exp(mh, m) for mh in m_hats])
     sigma = math.exp(-1.0) / math.sqrt(m)
     ks = ks_test(stats, lambda x: folded_normal_cdf(x, sigma))

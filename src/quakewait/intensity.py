@@ -104,14 +104,8 @@ class IntensityModel:
             raise ModelSpecError("tabulation grid must start at 0")
         if grid[-1] > tail_start:
             raise ModelSpecError("tabulation grid must not extend past tail_start")
-        starts = []
-        rates = []
-        for a, b in zip(grid, grid[1:]):
-            starts.append(a)
-            rates.append(float(rate_fn(0.5 * (a + b))))
-        starts.append(grid[-1])
-        rates.append(float(tail_rate))
-        return cls(tuple(starts), tuple(rates), tail_start, tail_rate)
+        rates = [rate_fn(0.5 * (a + b)) for a, b in zip(grid, grid[1:])]
+        return cls(grid, rates + [tail_rate], tail_start, tail_rate)
 
     @classmethod
     def from_spec(cls, spec: dict) -> "IntensityModel":
@@ -185,8 +179,3 @@ class IntensityModel:
                        starts[idx] + (y_arr - cum[idx]) / safe,
                        starts[idx])
         return _float_if_scalar(np.where(y_arr == 0.0, 0.0, out))
-
-    @property
-    def asymptotic_slope(self) -> float:
-        """The tail rate m = lim Lambda(t)/t."""
-        return self.tail_rate

@@ -84,8 +84,12 @@ def _log_survival(law: WaitingLaw, h):
 
 
 def conditional_cdf(law: WaitingLaw, h):
-    """Conditional CDF: 1 - (1 + h/t)^{k-1} exp(-m h)."""
-    return _float_if_scalar(-np.expm1(_log_survival(law, _nonneg(h, "h"))))
+    """Conditional CDF: 1 - (1 + h/t)^{k-1} exp(-m h); 1 at h = inf, where
+    the log-survival would be inf - inf."""
+    h = _nonneg(h, "h")
+    h_inf = np.isinf(h)
+    g = _log_survival(law, np.where(h_inf, 0.0, h))
+    return _float_if_scalar(np.where(h_inf, 1.0, -np.expm1(g)))
 
 
 def sample_conditional(law: WaitingLaw, n: int, seed) -> np.ndarray:

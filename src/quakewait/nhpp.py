@@ -105,11 +105,6 @@ def sample_jump_times(model: IntensityModel, k: int, n: int, seed) -> np.ndarray
     return np.asarray(model.cif_inverse(sums), dtype=float)
 
 
-def sample_jump_time(model: IntensityModel, k: int, seed) -> float:
-    """Single draw of the k-th jump time."""
-    return float(sample_jump_times(model, k, 1, seed)[0])
-
-
 _CSV_BLOCK = 4096
 
 

@@ -4,6 +4,8 @@ Replicate ``i`` of any Monte Carlo run draws from the child generator
 ``substream(master_seed, i)``, where the child seed sequence is
 ``SeedSequence(master_seed, spawn_key=(i,))``.  Results are therefore
 identical no matter how replicates are scheduled or parallelised.
+``substreams(master_seed, n)`` spawns replicates 0..n-1 of one run in one
+call; it takes no start index, so a run draws all its replicates at once.
 """
 from __future__ import annotations
 
@@ -25,12 +27,8 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def substreams(master_seed: int, n: int, start: int = 0) -> list[np.random.Generator]:
-    """Child generators for replicates ``start..start+n-1``.
-
-    Equivalent to ``[substream(master_seed, i) for i in range(start,
-    start + n)]`` but spawned in one pass, without building the first
-    ``start`` children.
-    """
-    parent = np.random.SeedSequence(int(master_seed), n_children_spawned=int(start))
-    return [np.random.default_rng(c) for c in parent.spawn(n)]
+def substreams(master_seed: int, n: int) -> list[np.random.Generator]:
+    """Generators for replicates ``0..n-1``: ``[substream(master_seed, i)
+    for i in range(n)]``, spawned in one pass."""
+    return [np.random.default_rng(c)
+            for c in np.random.SeedSequence(int(master_seed)).spawn(n)]

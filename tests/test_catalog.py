@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from quakewait.catalog import (CatalogFormatError, compare_cdfs,
+from quakewait.catalog import (CatalogFormatError, EmpiricalCdf, compare_cdfs,
                                empirical_waiting_cdf, load_reference_catalog,
                                parse_catalog, reproducibility_report,
                                segment_by_major, slope_at, slope_series)
@@ -97,6 +97,17 @@ class TestEmpiricalCdf:
     def test_no_later_events(self, reference_segments):
         with pytest.raises(ValueError):
             empirical_waiting_cdf(reference_segments[1], 161)
+
+    def test_n_is_the_number_of_jumps(self):
+        ecdf = EmpiricalCdf((1, 2, 2, 5))
+        assert ecdf.n == 4
+        assert ecdf(2.0) == 0.75
+        assert ecdf(10.0) == 1.0
+
+    @pytest.mark.parametrize("jumps", [(), (5, 1), (1, 3, 2)])
+    def test_bad_jumps(self, jumps):
+        with pytest.raises(ValueError, match="nonempty and nondecreasing"):
+            EmpiricalCdf(jumps)
 
 
 class TestComparison:

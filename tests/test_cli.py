@@ -1,8 +1,15 @@
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from scipy import stats
 
+import quakewait
 from quakewait import statfn
 from quakewait.cli import main
 
@@ -102,6 +109,15 @@ class TestGof:
         assert code == 0
         assert stdout.splitlines()[0].startswith("t,p1,")
 
+    def test_csv_header_follows_r(self, capsys):
+        code, stdout, _ = run(capsys, "gof", "--r", "5", "--format", "csv",
+                              "--seed", "1", "--t", "10,50")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(stdout))
+        assert header == ["t", "p1", "p2", "p3", "p4", "p5", "chi2", "p_value"]
+        assert len(rows) == 2
+        assert all(len(row) == len(header) for row in rows)
+
 
 class TestAnalyze:
     def test_slope_series(self, capsys):
@@ -198,5 +214,25 @@ class TestBadInput:
         code, stdout, err = run(capsys, *args)
         assert code == 2
         assert stdout == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert message in err
+        # one error line, last; a warning the command raised comes before it
+        *warned, error = err.splitlines()
+        assert error.startswith("error: ") and err.endswith("\n")
+        assert all(line.startswith("warning: ") for line in warned)
+        assert message in error
+
+
+def test_warnings_reach_stderr_one_line_each():
+    # in-process runs hide this: pytest captures warnings before they print
+    src = str(Path(quakewait.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "quakewait.cli", "analyze", "--bands",
+         "--major-threshold", "10"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert lines == [
+        "warning: no event reaches the major threshold; empty result",
+        "error: --bands needs a segment, and no event reaches the major threshold"]

@@ -20,7 +20,7 @@ from quakewait.statfn import folded_normal_cdf, normal_cdf
 # criterion 9's model, plus a zero-rate stretch for the inverse
 MODEL = IntensityModel.piecewise([(0.0, 2.0), (1.0, 0.0), (2.0, 1.0)])
 LAW = WaitingLaw(20.0, 10, 1.0)
-ECDF = EmpiricalCdf((10, 12, 15, 47), 4)
+ECDF = EmpiricalCdf((10, 12, 15, 47))
 
 # functions of one nonnegative argument, each checked by the shared test
 NONNEG = {
@@ -110,4 +110,9 @@ def test_infinity_is_accepted():
     assert MODEL.cif(math.inf) == math.inf
     assert MODEL.cif_inverse(math.inf) == math.inf
     assert limit_cdf(1.0, math.inf) == 1.0
+    assert conditional_cdf(WaitingLaw(20.0, 1, 1.0), math.inf) == 1.0
+    assert conditional_cdf(LAW, math.inf) == 1.0  # k = 10
+    assert np.array_equal(conditional_cdf(LAW, np.array([math.inf, 0.0])), [1.0, 0.0])
+    assert slope_ci(0.0, 0.0, math.inf, 0.05) == (0.0, 0.0)
+    assert slope_ci(0.2, 0.0, math.inf, 0.05) == pytest.approx((0.2, 0.2), rel=1e-15)
     assert random_cdf(math.inf, 1.0) == 1.0

@@ -1,6 +1,7 @@
 import io
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,11 @@ from quakewait.inference import (confidence_bands, estimate_slope,
                                  verify_glivenko_cantelli,
                                  verify_kolmogorov_limit, write_bands_csv)
 from quakewait.intensity import IntensityModel
+from quakewait.limitlaw import sup_distance_exp
 from quakewait.nhpp import EventTimes, simulate_path
-from quakewait.statfn import normal_quantile
+from quakewait.rng import substream
+from quakewait.statfn import (folded_normal_cdf, ks_test, normal_cdf,
+                              normal_quantile)
 
 # second reference data set: years since the initiating major shock
 SEGMENT2 = EventTimes(np.array([53.0, 116.0, 118.0, 121.0, 153.0, 155.0,
@@ -207,6 +211,18 @@ class TestSlopeCi:
                     residual = t * (m_hat - root) ** 2 - x * x * root
                     assert abs(residual) <= 1e-9 * max(1.0, x * x * root)
 
+    @pytest.mark.parametrize("m_hat", [1e-9, 1e-6])
+    @pytest.mark.parametrize("t", [1.0, 53.0, 1e4])
+    def test_low_root_matches_mpmath(self, m_hat, t):
+        # half_sum - half_diff cancels here: 852 relative error at (1e-9, 1)
+        x = normal_quantile(0.975)
+        with mpmath.workdps(50):
+            mm, tt, xx = mpmath.mpf(m_hat), mpmath.mpf(t), mpmath.mpf(x)
+            c = xx * xx / (2 * tt)
+            exact = mm + c - mpmath.sqrt(c * c + 2 * c * mm)
+        low, _ = slope_ci(m_hat, 0.0, t, 0.05)
+        assert abs(low - exact) <= 1e-14 * exact
+
     def test_estimate_with_ci_ordering(self):
         est = estimate_slope_with_ci(SEGMENT2, 0.0, 161.0, 0.05)
         assert 0.0 <= est.ci_low <= est.m_hat <= est.ci_high
@@ -291,3 +307,39 @@ class TestVerifiers:
         b = verify_clt(1.0, 1000.0, 200, 7)
         assert np.array_equal(a.statistics, b.statistics)
         assert a.ks == b.ks
+
+
+def reference_slope_draws(m, tau, reps, seed, offset):
+    """Window-at-a-time draws: replicate i of the window starting at
+    replicate ``offset`` reads substream(seed, offset + i)."""
+    counts = [substream(seed, offset + i).poisson(m * tau) for i in range(reps)]
+    return np.array(counts, dtype=float) / tau
+
+
+class TestVerifierDraws:
+    """The verifiers draw replicate i from substream i of the seed; pinned
+    against one window at a time, at a replicate count that is not round."""
+
+    def test_gc_medians(self):
+        m, taus, reps, seed = 1.3, (50.0, 400.0, 3000.0), 137, 11
+        expected = []
+        for j, tau in enumerate(taus):
+            m_hats = reference_slope_draws(m, tau, reps, seed, j * reps)
+            expected.append(float(np.median([sup_distance_exp(mh, m) for mh in m_hats])))
+        assert verify_glivenko_cantelli(m, taus, reps, seed).medians == tuple(expected)
+
+    def test_clt_statistics(self):
+        m, t, reps, seed = 0.8, 700.0, 113, 5
+        stats = math.sqrt(t) * (reference_slope_draws(m, t, reps, seed, 0) - m)
+        check = verify_clt(m, t, reps, seed)
+        assert np.array_equal(check.statistics, stats)
+        assert check.ks == ks_test(stats, lambda x: normal_cdf(x / math.sqrt(m)))
+
+    def test_kolmogorov_statistics(self):
+        m, tau, reps, seed = 1.7, 900.0, 523, 2
+        m_hats = reference_slope_draws(m, tau, reps, seed, 0)
+        stats = math.sqrt(tau) * np.array([sup_distance_exp(mh, m) for mh in m_hats])
+        sigma = math.exp(-1.0) / math.sqrt(m)
+        check = verify_kolmogorov_limit(m, tau, reps, seed)
+        assert np.array_equal(check.statistics, stats)
+        assert check.ks == ks_test(stats, lambda x: folded_normal_cdf(x, sigma))

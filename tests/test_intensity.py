@@ -72,10 +72,10 @@ class TestCifInverse:
 
 class TestAsymptoticSlope:
     def test_constant(self):
-        assert IntensityModel.constant(0.2).asymptotic_slope == 0.2
+        assert IntensityModel.constant(0.2).tail_rate == 0.2
 
     def test_piecewise_tail_value(self, piecewise_model):
-        assert piecewise_model.asymptotic_slope == 1.0
+        assert piecewise_model.tail_rate == 1.0
 
     @pytest.mark.parametrize("model", [
         IntensityModel.constant(0.7),
@@ -84,7 +84,7 @@ class TestAsymptoticSlope:
     ])
     def test_slope_is_cif_limit(self, model):
         big_t = 100.0 * model.tail_start + 100.0
-        assert abs(model.cif(big_t) / big_t - model.asymptotic_slope) < 0.01
+        assert abs(model.cif(big_t) / big_t - model.tail_rate) < 0.01
 
 
 class TestInvariants:
@@ -103,7 +103,7 @@ class TestInvariants:
         IntensityModel.piecewise([(0.0, 0.0), (2.0, 0.5)]),
     ])
     def test_slope_convergence_bound(self, model):
-        m = model.asymptotic_slope
+        m = model.tail_rate
         tail = model.tail_start
         sup_dev = max(abs(r - m) for r in model.rates)
         for t in [10 * tail + 10, 50 * tail + 50]:

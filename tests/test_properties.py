@@ -85,7 +85,7 @@ class TestCdfsAreMonotoneInUnitInterval:
     @given(jumps=st.lists(st.integers(1, 500), min_size=1, max_size=30),
            h=sorted_arrays(0.0, 600.0))
     def test_empirical_cdf(self, jumps, h):
-        ecdf = EmpiricalCdf(tuple(sorted(jumps)), len(jumps))
+        ecdf = EmpiricalCdf(tuple(sorted(jumps)))
         assert_cdf_values(ecdf(h))
         assert ecdf(600.0) == 1.0
 

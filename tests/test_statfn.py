@@ -112,6 +112,18 @@ class TestNormalQuantile:
     def test_symmetry(self):
         assert normal_quantile(0.3) == pytest.approx(-normal_quantile(0.7), abs=1e-12)
 
+    @pytest.mark.parametrize("p", [
+        np.geomspace(1e-300, 0.02425, 2000),             # lower tail
+        np.linspace(0.02425, 0.97575, 2001),             # centre
+        1.0 - np.geomspace(1e-15, 1.0 - 0.97575, 2000),  # upper tail
+    ], ids=["lower_tail", "centre", "upper_tail"])
+    def test_matches_scipy(self, p):
+        # a rational approximation with one Halley step was 8.4e-9 off in
+        # the upper tail
+        x = np.array([normal_quantile(v) for v in p])
+        err = np.abs(x - stats.norm.ppf(p)) / np.maximum(1.0, np.abs(x))
+        assert err.max() <= 4e-15
+
 
 class TestKolmogorovSf:
     def test_matches_scipy(self):
