@@ -14,7 +14,7 @@ import numpy as np
 
 from .limitlaw import WaitingLaw, breakpoints, sample_conditional
 from .rng import substreams
-from .statfn import chi2_sf
+from .statfn import _nonneg, chi2_sf
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,12 +32,10 @@ class GofReport:
 def bin_percentages(samples, cuts) -> np.ndarray:
     """Percentage of samples in each of the len(cuts)+1 bins
     [0, c_1), ..., [c_{r-1}, infinity)."""
-    cuts_arr = np.asarray(cuts, dtype=float)
-    if np.any(np.diff(cuts_arr) <= 0):
+    cuts_arr = _nonneg(cuts, "cuts")
+    if not (np.diff(cuts_arr) > 0).all():
         raise ValueError("cuts must be strictly increasing")
-    samples_arr = np.asarray(samples, dtype=float)
-    if np.any(samples_arr < 0):
-        raise ValueError("samples must be nonnegative")
+    samples_arr = _nonneg(samples, "samples")
     if samples_arr.size == 0:
         raise ValueError("at least one sample required")
     idx = np.searchsorted(cuts_arr, samples_arr, side="right")
@@ -55,7 +53,7 @@ def _pearson(perc: np.ndarray, r: int) -> float:
 def chi_square_stat(percentages) -> float:
     """Pearson statistic on 10 observed percentages with expected value 10
     in every bin: sum (O_j - 10)^2 / 10."""
-    p = np.asarray(percentages, dtype=float)
+    p = _nonneg(percentages, "percentages")
     if p.shape != (10,):
         raise ValueError("exactly 10 percentages required")
     if abs(p.sum() - 100.0) > 1e-6:
@@ -66,7 +64,7 @@ def chi_square_stat(percentages) -> float:
 def gof_pvalue(stat: float) -> float:
     """Upper-tail probability of the statistic under chi-square with 9
     degrees of freedom."""
-    if stat < 0:
+    if not stat >= 0:
         raise ValueError("statistic must be nonnegative")
     return chi2_sf(stat, 9)
 

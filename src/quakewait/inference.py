@@ -65,11 +65,11 @@ def estimate_slope(events: EventTimes, tau_star: float, tau: float) -> SlopeEsti
     An event exactly at tau_star belongs to the previous epoch; one exactly
     at tau is counted.
     """
-    if tau <= tau_star:
+    if not tau > tau_star:
         raise ValueError("tau must exceed tau_star")
-    if tau_star < 0:
+    if not tau_star >= 0:
         raise ValueError("tau_star must be nonnegative")
-    if tau > events.horizon:
+    if not tau <= events.horizon:
         raise ValueError("tau must not exceed the observation horizon")
     count = events.count_in(tau_star, tau)
     return SlopeEstimate(count / (tau - tau_star), tau_star, tau, count)
@@ -86,7 +86,7 @@ def path_log_likelihood(events: EventTimes, model: IntensityModel, t: float) -> 
     """
     tau_star = model.tail_start
     m = model.tail_rate
-    if t <= tau_star:
+    if not t > tau_star:
         raise ValueError("t must exceed the model's tail_start")
     times = events.times
     n = len(events)
@@ -201,7 +201,7 @@ def verify_glivenko_cantelli(m: float, taus, reps: int, seed) -> GcCheck:
         raise ValueError("window lengths must be increasing")
     # window j takes replicates j*reps .. (j+1)*reps - 1 of one run
     m_hats = _slope_draws(m, np.repeat(taus, reps), seed)
-    dists = np.array([sup_distance_exp(mh, m) for mh in m_hats])
+    dists = sup_distance_exp(m_hats, m)
     medians = np.median(dists.reshape(len(taus), reps), axis=1)
     return GcCheck(taus, tuple(medians.tolist()))
 
@@ -214,7 +214,7 @@ def verify_kolmogorov_limit(m: float, tau: float, reps: int, seed) -> KsCheck:
     if not (m > 0 and tau > 0):
         raise ValueError("m and tau must be strictly positive")
     m_hats = _slope_draws(m, np.full(reps, tau), seed)
-    stats = math.sqrt(tau) * np.array([sup_distance_exp(mh, m) for mh in m_hats])
+    stats = math.sqrt(tau) * sup_distance_exp(m_hats, m)
     sigma = math.exp(-1.0) / math.sqrt(m)
     ks = ks_test(stats, lambda x: folded_normal_cdf(x, sigma))
     return KsCheck(stats, ks)

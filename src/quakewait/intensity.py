@@ -61,8 +61,9 @@ class IntensityModel:
             raise ModelSpecError("rates must be finite and nonnegative")
         if not self.tail_rate > 0:
             raise ModelSpecError("tail_rate must be strictly positive")
-        if not self.tail_start >= 0:
-            raise ModelSpecError("tail_start must be nonnegative")
+        if not 0 <= self.tail_start < math.inf:
+            raise ModelSpecError("tail_start must be finite and nonnegative")
+        # breakpoints increase, so a finite tail_start bounds them all
         if s0 > self.tail_start:
             raise ModelSpecError("no breakpoint may lie beyond tail_start")
         if r0 != self.tail_rate:

@@ -8,7 +8,6 @@ every rate m >= 0, the estimate m = 0 included; ``limit_cdf`` calls it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +38,10 @@ class WaitingLaw:
     def __post_init__(self):
         if self.k < 1 or int(self.k) != self.k:
             raise ValidityError("k must be a positive integer")
-        if not self.m > 0:
-            raise ValidityError("m must be strictly positive")
-        if not self.t >= 0:
-            raise ValidityError("t must be nonnegative")
+        if not 0 < self.m < np.inf:
+            raise ValidityError("m must be finite and strictly positive")
+        if not 0 <= self.t < np.inf:
+            raise ValidityError("t must be finite and nonnegative")
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "m", float(self.m))
@@ -136,20 +135,22 @@ def breakpoints(m: float, r: int) -> np.ndarray:
     return -np.log1p(-i / r) / m
 
 
-def sup_distance_exp(a: float, b: float) -> float:
-    """sup over h >= 0 of |exp(-a h) - exp(-b h)| for rates a, b >= 0.
+def sup_distance_exp(a, b):
+    """sup over h >= 0 of |exp(-a h) - exp(-b h)| for rates a, b >= 0;
+    accepts scalars or arrays.
 
-    For a != b the maximizer is h* = ln(a/b)/(a-b).  Near a == b the h*
-    formula is 0/0, so the first-order limit exp(-1)|a-b|/max(a,b) is
-    returned instead.  A zero rate gives the degenerate distance 1.
+    With r = min/max and d = 1 - r the supremum, reached at
+    h = log(max/min) / (max - min), is d exp(r log r / d).  log r is taken
+    from r below r = 1/2 and from d above it, whichever is exact there.
+    Equal rates give 0; a zero or an infinite rate beside a different one
+    gives 1, the limit as r -> 0.
     """
-    if not (a >= 0 and b >= 0):
-        raise ValueError("rates must be nonnegative")
-    if a == b:
-        return 0.0
-    if a == 0.0 or b == 0.0:
-        return 1.0
-    if abs(a - b) < 1e-12 * max(a, b):
-        return math.exp(-1.0) * abs(a - b) / max(a, b)
-    h_star = math.log(a / b) / (a - b)
-    return abs(math.exp(-b * h_star) - math.exp(-a * h_star))
+    a, b = _nonneg(a, "rates"), _nonneg(b, "rates")
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # the masked cases are 0/0, inf/inf or 0 * log 0 in the formula
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = lo / hi
+        d = (hi - lo) / hi
+        log_r = np.where(r < 0.5, np.log(r), np.log1p(-d))
+        out = d * np.exp(r * log_r / d)
+    return _float_if_scalar(np.where(a == b, 0.0, np.where(r == 0.0, 1.0, out)))

@@ -95,14 +95,13 @@ def jump_time_pdf(model: IntensityModel, k: int, t: float) -> float:
 
 def sample_jump_times(model: IntensityModel, k: int, n: int, seed) -> np.ndarray:
     """n independent draws of the k-th jump time: the inverse cumulative
-    rate applied to a sum of k unit exponentials."""
+    rate at Gamma(k, 1) draws, the law of a sum of k unit exponentials."""
     if k < 1 or int(k) != k:
         raise ValueError("k must be a positive integer")
     if n < 0:
         raise ValueError("n must be nonnegative")
     rng = as_generator(seed)
-    sums = rng.exponential(size=(int(n), int(k))).sum(axis=1)
-    return np.asarray(model.cif_inverse(sums), dtype=float)
+    return np.asarray(model.cif_inverse(rng.gamma(k, size=int(n))), dtype=float)
 
 
 _CSV_BLOCK = 4096

@@ -134,37 +134,35 @@ def _gamma_cf(s: float, x: float) -> float:
     return f * math.exp(_log_gamma_prefactor(s, x))
 
 
-def reg_lower_incomplete_gamma(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x)."""
-    if s <= 0:
+def _reg_incomplete_gamma(s: float, x: float) -> tuple[float, float]:
+    """(P(s, x), Q(s, x)), each clamped to [0, 1]; the one that the chosen
+    branch computes directly keeps its digits in the tail."""
+    if not s > 0:
         raise ValueError("s must be strictly positive")
-    if x < 0:
+    if not x >= 0:
         raise ValueError("x must be nonnegative")
     if x == 0.0:
-        return 0.0
+        return 0.0, 1.0
     if x < s + 1.0:
-        return min(_gamma_series(s, x), 1.0)
-    return max(1.0 - _gamma_cf(s, x), 0.0)
+        p = _gamma_series(s, x)
+        return min(p, 1.0), max(1.0 - p, 0.0)
+    q = _gamma_cf(s, x)
+    return max(1.0 - q, 0.0), min(q, 1.0)
+
+
+def reg_lower_incomplete_gamma(s: float, x: float) -> float:
+    """Regularized lower incomplete gamma P(s, x)."""
+    return _reg_incomplete_gamma(s, x)[0]
 
 
 def reg_upper_incomplete_gamma(s: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(s, x) = 1 - P(s, x), computed
     without cancellation in the upper tail."""
-    if s <= 0:
-        raise ValueError("s must be strictly positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        return max(1.0 - _gamma_series(s, x), 0.0)
-    return min(_gamma_cf(s, x), 1.0)
+    return _reg_incomplete_gamma(s, x)[1]
 
 
 def chi2_sf(x: float, df: int) -> float:
     """Chi-square survival function with ``df`` degrees of freedom."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
     if df < 1 or int(df) != df:
         raise ValueError("df must be a positive integer")
     return reg_upper_incomplete_gamma(df / 2.0, x / 2.0)
@@ -182,7 +180,7 @@ def normal_cdf(x):
 
 def folded_normal_cdf(x, sigma: float):
     """CDF of |N(0, sigma^2)|: 2 Phi(x / sigma) - 1 for x >= 0, else 0."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be strictly positive")
     x_arr = np.asarray(x, dtype=float)
     out = np.clip(2.0 * normal_cdf(x_arr / sigma) - 1.0, 0.0, 1.0)
@@ -203,7 +201,9 @@ def kolmogorov_sf(lam: float) -> float:
     That series converges slowly below lam = 1, so there Q is taken from
     its theta-function form
     1 - (sqrt(2 pi) / lam) sum_{j>=1} exp(-(2j-1)^2 pi^2 / (8 lam^2)),
-    whose fourth term is already below 1e-25.
+    whose fourth term is already below 1e-25.  From lam = 1 on, four
+    terms of the series itself suffice: the fifth, exp(-50 lam^2), is
+    below half an ulp of the sum.
     """
     if lam <= 0.0:
         return 1.0
@@ -211,10 +211,8 @@ def kolmogorov_sf(lam: float) -> float:
         a = math.pi / lam  # a * a may overflow to inf, where exp gives 0
         total = sum(math.exp(-(2 * j - 1) ** 2 * a * a / 8.0) for j in range(1, 5))
         return 1.0 - math.sqrt(2.0 * math.pi) * total / lam
-    total = 0.0
-    for j in range(1, 121):
-        total += (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
-    return min(max(2.0 * total, 0.0), 1.0)
+    total = sum((-1) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam) for j in range(1, 5))
+    return 2.0 * total
 
 
 def ks_test(samples, cdf) -> KsResult:

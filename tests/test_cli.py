@@ -200,14 +200,20 @@ class TestBadInput:
         (["analyze", "--major-threshold", "nan"], "threshold must be strictly positive"),
         (["verify", "gc", "--t", "10,100", "--reps", "0"], "at least one replicate"),
         (["verify", "gc", "--t", "10,100", "--m", "0"], "m must be strictly positive"),
+        (["gof", "--t", "inf"], "t must be finite and nonnegative"),
+        (["gof", "--m", "inf"], "m must be finite and strictly positive"),
+        (["gof", "--from-percentages", "{nan_row}"], "percentages must be nonnegative"),
     ], ids=["horizon_inf", "horizon_nan", "h_step_zero", "segment_negative",
             "segment_zero", "segment_past_end", "bands_without_segment",
             "bands_without_moderate_event", "major_threshold_nan", "gc_reps_zero",
-            "gc_m_zero"])
+            "gc_m_zero", "gof_t_inf", "gof_m_inf", "gof_percentage_nan"])
     def test_exits_2_with_one_line(self, capsys, tmp_path, args, message):
         lone_major = tmp_path / "lone.csv"
         lone_major.write_text("year,magnitude\n1900,9.0\n")
-        args = [a.format(lone_major=lone_major) for a in args]
+        nan_row = tmp_path / "nan_row.csv"
+        nan_row.write_text("t," + ",".join(f"p{i}" for i in range(1, 11)) + "\n"
+                           "25,nan" + ",10" * 9 + "\n")
+        args = [a.format(lone_major=lone_major, nan_row=nan_row) for a in args]
         if args[0] == "simulate":
             args += ["--model", CONSTANT_MODEL, "--seed", "1",
                      "--out", str(tmp_path / "ev.csv")]

@@ -10,17 +10,22 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from quakewait.catalog import EmpiricalCdf, segment_by_major
+from quakewait.gof import bin_percentages, chi_square_stat, gof_pvalue
 from quakewait.intensity import IntensityModel
-from quakewait.inference import (random_cdf, slope_ci, verify_clt,
-                                 verify_glivenko_cantelli, verify_kolmogorov_limit)
+from quakewait.inference import (estimate_slope, path_log_likelihood, random_cdf,
+                                 slope_ci, verify_clt, verify_glivenko_cantelli,
+                                 verify_kolmogorov_limit)
 from quakewait.limitlaw import (WaitingLaw, breakpoints, conditional_cdf, limit_cdf,
                                 sup_distance_exp)
-from quakewait.statfn import folded_normal_cdf, normal_cdf
+from quakewait.nhpp import EventTimes
+from quakewait.statfn import (chi2_sf, folded_normal_cdf, normal_cdf,
+                              reg_lower_incomplete_gamma, reg_upper_incomplete_gamma)
 
 # criterion 9's model, plus a zero-rate stretch for the inverse
 MODEL = IntensityModel.piecewise([(0.0, 2.0), (1.0, 0.0), (2.0, 1.0)])
 LAW = WaitingLaw(20.0, 10, 1.0)
 ECDF = EmpiricalCdf((10, 12, 15, 47))
+EVENTS = EventTimes((0.5, 1.5, 3.0), 10.0)
 
 # functions of one nonnegative argument, each checked by the shared test
 NONNEG = {
@@ -31,6 +36,7 @@ NONNEG = {
     "random_cdf": lambda h: random_cdf(0.0, h),
     "conditional_cdf": lambda h: conditional_cdf(LAW, h),
     "empirical_cdf": ECDF,
+    "sup_distance_exp": lambda rate: sup_distance_exp(rate, 0.5),
 }
 ANY_REAL = {
     "normal_cdf": normal_cdf,
@@ -94,11 +100,25 @@ def test_negative_or_nan_raises(name, bad, arr):
     lambda: verify_glivenko_cantelli(math.nan, (10.0, 100.0), 10, 0),
     lambda: verify_glivenko_cantelli(1.0, (10.0, math.nan), 10, 0),
     lambda: segment_by_major([], math.nan),
+    lambda: bin_percentages([0.1, math.nan, 0.3], [0.2]),
+    lambda: bin_percentages([0.1, 0.3], [math.nan]),
+    lambda: chi_square_stat([math.nan] + [10.0] * 9),
+    lambda: gof_pvalue(math.nan),
+    lambda: chi2_sf(math.nan, 9),
+    lambda: reg_lower_incomplete_gamma(math.nan, 1.0),
+    lambda: reg_upper_incomplete_gamma(1.0, math.nan),
+    lambda: estimate_slope(EVENTS, math.nan, 5.0),
+    lambda: estimate_slope(EVENTS, 0.0, math.nan),
+    lambda: path_log_likelihood(EVENTS, MODEL, math.nan),
+    lambda: folded_normal_cdf(1.0, math.nan),
 ], ids=["limit_cdf_m", "random_cdf_m", "waiting_law_t", "waiting_law_m",
         "breakpoints_m", "sup_distance_a", "sup_distance_b", "slope_ci_m_hat",
         "slope_ci_tau_star", "slope_ci_tau", "model_tail_start", "model_tail_rate",
         "model_breakpoint", "verify_clt_m", "verify_clt_t", "verify_kolmogorov_m",
-        "verify_kolmogorov_tau", "verify_gc_m", "verify_gc_tau", "major_threshold"])
+        "verify_kolmogorov_tau", "verify_gc_m", "verify_gc_tau", "major_threshold",
+        "bin_sample", "bin_cut", "chi_square_stat", "gof_pvalue", "chi2_sf",
+        "lower_gamma_s", "upper_gamma_x", "estimate_slope_tau_star",
+        "estimate_slope_tau", "log_likelihood_t", "folded_normal_sigma"])
 def test_nan_parameter_is_rejected(call):
     # our own message, not one numpy raises further in
     with pytest.raises(ValueError, match="must"):
@@ -116,3 +136,6 @@ def test_infinity_is_accepted():
     assert slope_ci(0.0, 0.0, math.inf, 0.05) == (0.0, 0.0)
     assert slope_ci(0.2, 0.0, math.inf, 0.05) == pytest.approx((0.2, 0.2), rel=1e-15)
     assert random_cdf(math.inf, 1.0) == 1.0
+    assert sup_distance_exp(1.0, math.inf) == 1.0
+    assert np.array_equal(sup_distance_exp(np.array([0.0, 1.0, math.inf]), math.inf),
+                          [1.0, 1.0, 0.0])

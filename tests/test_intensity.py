@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quakewait.intensity import IntensityModel, ModelSpecError
@@ -173,8 +173,8 @@ def reference_spec(starts, rates, tail_start, tail_rate):
         return "rates must be finite and nonnegative"
     if not tail_rate > 0:
         return "tail_rate must be strictly positive"
-    if not tail_start >= 0:
-        return "tail_start must be nonnegative"
+    if not 0 <= tail_start < math.inf:
+        return "tail_start must be finite and nonnegative"
     if starts[-1] > tail_start:
         return "no breakpoint may lie beyond tail_start"
     if rates[-1] != tail_rate:
@@ -225,6 +225,8 @@ def model_specs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(spec=model_specs())
+# an infinite breakpoint after a zero rate: 0 * inf in the cumulative rate
+@example(spec=([0.0, math.inf], [0.0, 1.0], math.inf, 1.0))
 def test_one_pass_construction_matches_reference(spec):
     starts, rates, tail_start, tail_rate = spec
     expected = reference_spec(starts, rates, tail_start, tail_rate)

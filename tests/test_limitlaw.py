@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,14 @@ class TestWaitingLaw:
             WaitingLaw(1.0, 0, 1.0)
         with pytest.raises(ValidityError):
             WaitingLaw(1.0, 1, 0.0)
+
+    @pytest.mark.parametrize("t, m, message", [
+        (math.inf, 2.0, "t must be finite"),
+        (1.0, math.inf, "m must be finite"),
+    ], ids=["t_inf", "m_inf"])
+    def test_infinite_parameter(self, t, m, message):
+        with pytest.raises(ValidityError, match=message):
+            WaitingLaw(t, 2, m)
 
 
 class TestConditionalCdf:
@@ -187,6 +196,15 @@ def grid_sup_distance(a, b, h_max=20.0, step=1e-5):
     return np.max(np.abs(np.exp(-a * h) - np.exp(-b * h)))
 
 
+def exact_sup_distance(a, b):
+    """exp(-a h) - exp(-b h) at its maximizer h = log(b/a) / (b - a), for
+    0 < a < b, in 60 digits."""
+    with mpmath.workdps(60):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        h = mpmath.log(b / a) / (b - a)
+        return float(mpmath.exp(-a * h) - mpmath.exp(-b * h))
+
+
 class TestSupDistance:
     def test_equal_rates(self):
         assert sup_distance_exp(0.7, 0.7) == 0.0
@@ -201,10 +219,50 @@ class TestSupDistance:
             grid_sup_distance(0.2, 0.25, h_max=60.0), abs=1e-9)
 
     def test_near_equal_continuity(self):
-        a = 1.0
-        for eps in (1e-13, 1e-11, 1e-9):
-            d = sup_distance_exp(a, a + eps)
-            assert d == pytest.approx(math.exp(-1) * eps, rel=1e-3)
+        # relative gaps from 1e-6 down to one ulp
+        for a in (1e-300, 0.3, 1.0, 7e5, 1e300):
+            for gap in (1e-16, 1e-13, 1e-11, 1e-9, 1e-6):
+                b = max(a * (1.0 + gap), math.nextafter(a, math.inf))
+                assert sup_distance_exp(a, b) == pytest.approx(exact_sup_distance(a, b),
+                                                               rel=1e-15, abs=0)
+
+    def test_matches_mpmath(self):
+        rng = np.random.default_rng(9)
+        a = 10.0 ** rng.uniform(-300, 300, 600)
+        ratio = np.concatenate([1.0 + 10.0 ** rng.uniform(-16, 0, 200),
+                                rng.uniform(1.0, 3.0, 200), 10.0 ** rng.uniform(0, 300, 200)])
+        with np.errstate(over="ignore"):
+            b = a * ratio
+        keep = np.isfinite(b) & (b > a)
+        for x, y in zip(a[keep].tolist(), b[keep].tolist()):
+            assert sup_distance_exp(x, y) == pytest.approx(exact_sup_distance(x, y),
+                                                           rel=1e-15, abs=0)
+            assert sup_distance_exp(y, x) == sup_distance_exp(x, y)
+
+    def test_infinite_rate(self):
+        assert sup_distance_exp(1.0, math.inf) == 1.0
+        assert sup_distance_exp(math.inf, 0.0) == 1.0
+        assert sup_distance_exp(math.inf, math.inf) == 0.0
+
+    def test_subnormal_rates(self):
+        assert sup_distance_exp(5e-324, 1e-323) == 0.25
+
+    def test_scale_invariance(self):
+        # power-of-two scales keep the rates and their ratio exact, down to
+        # the smallest subnormal
+        for i in range(1, 9):
+            for j in range(i + 1, 9):
+                d = sup_distance_exp(float(i), float(j))
+                for c in (2.0 ** -1074, 2.0 ** -1000, 2.0 ** -500, 2.0 ** 500, 2.0 ** 1000):
+                    assert sup_distance_exp(i * c, j * c) == d
+
+    def test_array_matches_scalar(self):
+        a = np.array([[0.0, 0.5, 1.0, 2.0], [1e-300, 1.0 + 2e-16, math.inf, 3.0]])
+        b = np.array([[1.0], [3.0]])
+        expected = [[sup_distance_exp(x, y) for x in row]
+                    for row, (y,) in zip(a.tolist(), b.tolist())]
+        out = sup_distance_exp(a, b)
+        assert out.shape == a.shape and np.array_equal(out, expected)
 
     def test_zero_rate(self):
         assert sup_distance_exp(0.0, 1.0) == 1.0
