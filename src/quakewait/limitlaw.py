@@ -83,12 +83,21 @@ def _log_survival(law: WaitingLaw, h):
 
 
 def conditional_cdf(law: WaitingLaw, h):
-    """Conditional CDF: 1 - (1 + h/t)^{k-1} exp(-m h); 1 at h = inf, where
-    the log-survival would be inf - inf."""
+    """Conditional CDF: 1 - (1 + h/t)^{k-1} exp(-m h).
+
+    It is 1 where x = h/t overflows to inf (h = inf included), where the
+    log-survival would be inf - inf: for k >= 2 it lies below -(k-1) x,
+    so G is exactly 1 there.  For k = 1 it is -m h and t may be 0, so
+    only h = inf is masked.
+    """
     h = _nonneg(h, "h")
-    h_inf = np.isinf(h)
-    g = _log_survival(law, np.where(h_inf, 0.0, h))
-    return _float_if_scalar(np.where(h_inf, 1.0, -np.expm1(g)))
+    if law.k == 1:
+        over = np.isinf(h)
+    else:
+        with np.errstate(over="ignore"):
+            over = np.isinf(h / law.t)
+    g = _log_survival(law, np.where(over, 0.0, h))
+    return _float_if_scalar(np.where(over, 1.0, -np.expm1(g)))
 
 
 def sample_conditional(law: WaitingLaw, n: int, seed) -> np.ndarray:

@@ -4,12 +4,39 @@ Replicate ``i`` of any Monte Carlo run draws from the child generator
 ``substream(master_seed, i)``, where the child seed sequence is
 ``SeedSequence(master_seed, spawn_key=(i,))``.  Results are therefore
 identical no matter how replicates are scheduled or parallelised.
-``substreams(master_seed, n)`` spawns replicates 0..n-1 of one run in one
+``substreams(master_seed, n)`` builds replicates 0..n-1 of one run in one
 call; it takes no start index, so a run draws all its replicates at once.
+
+``substreams`` returns the same generators as ``substream``, bit for bit,
+without building a ``SeedSequence`` per replicate.  A ``PCG64`` takes its
+state from ``SeedSequence.generate_state(4, np.uint64)``, and that is a
+fixed hash (numpy's stream-compatibility policy, NEP 19, freezes it) of
+the entropy words: the seed's 32-bit words, zero-padded to the pool size
+of 4 when a spawn key is present, followed by the spawn key.  The hash
+constant it advances does not depend on the data, and children differ
+only in the last word, their spawn index.  So ``_child_states`` hashes
+the seed words once and the spawn indices as one uint32 array, one
+element per child, and each ``PCG64`` is seeded from its precomputed row
+through a seed source that returns that row.
 """
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_STATE_WORDS = 4  # uint64 words of state a PCG64 asks for
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -27,8 +54,101 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
+def _hash_consts(init: int, mult: int):
+    """SeedSequence's running hash constant as (xor, multiply) pairs, one
+    per hash step.  It does not depend on the data."""
+    h = init
+    while True:
+        pre, h = h, h * mult & _MASK32
+        yield pre, h
+
+
+# the hash and mix steps, modulo 2**32 on Python ints and on uint32 arrays
+# alike (the mask is a no-op on the arrays, which wrap by themselves)
+def _hashmix(value, pre, post):
+    value = (value ^ pre) * post & _MASK32
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    out = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return out ^ (out >> _XSHIFT)
+
+
+def _child_states(master_seed: int, n: int) -> np.ndarray:
+    """Row i of this C-contiguous (n, 4) uint64 array is
+    ``SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, np.uint64)``.
+
+    The seed words' part of ``mix_entropy`` runs once on Python ints; the
+    spawn index's four mixing steps and ``generate_state``'s eight output
+    words run on (4, n) and (8, n) uint32 arrays.  ValueError unless
+    master_seed >= 0 and 0 <= n <= 2**32, so that every spawn index is one
+    uint32 word.
+    """
+    if master_seed < 0:
+        raise ValueError("master_seed must be nonnegative")
+    if not 0 <= n <= 2**32:
+        raise ValueError("n must lie in [0, 2**32]")
+    words = [master_seed & _MASK32]
+    while master_seed >> 32:
+        master_seed >>= 32
+        words.append(master_seed & _MASK32)
+    words += [0] * (_POOL_SIZE - len(words))
+
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, *next(consts)) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(w, *next(consts)))
+
+    def column(pairs):  # (xor, multiply) constants as two (k, 1) arrays
+        return np.array(pairs, dtype=np.uint32).T[:, :, None]
+
+    key = np.arange(n, dtype=np.uint32)
+    pool = _mix(np.array(pool, dtype=np.uint32)[:, None],
+                _hashmix(key, *column([next(consts) for _ in range(_POOL_SIZE)])))
+    out = _hash_consts(_INIT_B, _MULT_B)
+    lanes = np.arange(2 * _STATE_WORDS) % _POOL_SIZE
+    state = _hashmix(pool[lanes], *column([next(out) for _ in lanes])).astype(np.uint64)
+    # uint32 word pairs (low, high) make one uint64, as generate_state does
+    return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+
+
+@functools.cache
+def _fixed_state_type() -> type:
+    """The seed source that hands a PCG64 one ``_child_states`` row.
+
+    PCG64 asks it for ``(4, np.uint64)``; any other request means numpy
+    seeds PCG64 differently from what ``_child_states`` computes, so it
+    raises rather than let the streams change unnoticed.  The class is
+    built on first use: subclassing ``ISeedSequence`` at import would
+    import numpy.random into every CLI command, those that draw nothing
+    included.
+    """
+
+    class FixedState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self._state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != _STATE_WORDS or np.dtype(dtype) != np.uint64:
+                raise RuntimeError(
+                    f"expected a request for ({_STATE_WORDS}, uint64) state, "
+                    f"got ({n_words}, {np.dtype(dtype)})")
+            return self._state
+
+    return FixedState
+
+
 def substreams(master_seed: int, n: int) -> list[np.random.Generator]:
     """Generators for replicates ``0..n-1``: ``[substream(master_seed, i)
-    for i in range(n)]``, spawned in one pass."""
-    return [np.random.default_rng(c)
-            for c in np.random.SeedSequence(int(master_seed)).spawn(n)]
+    for i in range(n)]``, their states derived in one vectorised pass.
+    They carry no SeedSequence, so ``Generator.spawn`` is not available
+    on them."""
+    states = _child_states(int(master_seed), operator.index(n))
+    fixed = _fixed_state_type()
+    return [np.random.Generator(np.random.PCG64(fixed(row))) for row in states]

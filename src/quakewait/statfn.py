@@ -137,12 +137,14 @@ def _gamma_cf(s: float, x: float) -> float:
 def _reg_incomplete_gamma(s: float, x: float) -> tuple[float, float]:
     """(P(s, x), Q(s, x)), each clamped to [0, 1]; the one that the chosen
     branch computes directly keeps its digits in the tail."""
-    if not s > 0:
-        raise ValueError("s must be strictly positive")
+    if not 0 < s < math.inf:
+        raise ValueError("s must be finite and strictly positive")
     if not x >= 0:
         raise ValueError("x must be nonnegative")
     if x == 0.0:
         return 0.0, 1.0
+    if x == math.inf:
+        return 1.0, 0.0
     if x < s + 1.0:
         p = _gamma_series(s, x)
         return min(p, 1.0), max(1.0 - p, 0.0)
@@ -205,6 +207,8 @@ def kolmogorov_sf(lam: float) -> float:
     terms of the series itself suffice: the fifth, exp(-50 lam^2), is
     below half an ulp of the sum.
     """
+    if math.isnan(lam):
+        raise ValueError("lam must not be NaN")
     if lam <= 0.0:
         return 1.0
     if lam < 1.0:
@@ -221,12 +225,17 @@ def ks_test(samples, cdf) -> KsResult:
     ``cdf`` must accept a sorted numpy array.  The p-value is the
     asymptotic Kolmogorov law of sqrt(n) D_n at every n, so it is accurate
     only at large n; it is not the exact finite-n distribution.
+    ValueError if a sample is NaN or ``cdf`` returns NaN.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     if n == 0:
         raise ValueError("at least one sample required")
+    if math.isnan(x[-1]):  # the sort puts NaN last
+        raise ValueError("samples must not be NaN")
     f = np.asarray(cdf(x), dtype=float)
     i = np.arange(1, n + 1)
     stat = float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+    if math.isnan(stat):
+        raise ValueError("cdf must not return NaN")
     return KsResult(stat, kolmogorov_sf(math.sqrt(n) * stat))

@@ -18,8 +18,9 @@ from quakewait.inference import (estimate_slope, path_log_likelihood, random_cdf
 from quakewait.limitlaw import (WaitingLaw, breakpoints, conditional_cdf, limit_cdf,
                                 sup_distance_exp)
 from quakewait.nhpp import EventTimes
-from quakewait.statfn import (chi2_sf, folded_normal_cdf, normal_cdf,
-                              reg_lower_incomplete_gamma, reg_upper_incomplete_gamma)
+from quakewait.statfn import (chi2_sf, folded_normal_cdf, kolmogorov_sf, ks_test,
+                              normal_cdf, reg_lower_incomplete_gamma,
+                              reg_upper_incomplete_gamma)
 
 # criterion 9's model, plus a zero-rate stretch for the inverse
 MODEL = IntensityModel.piecewise([(0.0, 2.0), (1.0, 0.0), (2.0, 1.0)])
@@ -111,6 +112,9 @@ def test_negative_or_nan_raises(name, bad, arr):
     lambda: estimate_slope(EVENTS, 0.0, math.nan),
     lambda: path_log_likelihood(EVENTS, MODEL, math.nan),
     lambda: folded_normal_cdf(1.0, math.nan),
+    lambda: kolmogorov_sf(math.nan),
+    lambda: ks_test([math.nan, 0.5, 0.2], lambda x: x),
+    lambda: ks_test([0.1, 0.5, 0.2], lambda x: np.where(x > 0.3, math.nan, x)),
 ], ids=["limit_cdf_m", "random_cdf_m", "waiting_law_t", "waiting_law_m",
         "breakpoints_m", "sup_distance_a", "sup_distance_b", "slope_ci_m_hat",
         "slope_ci_tau_star", "slope_ci_tau", "model_tail_start", "model_tail_rate",
@@ -118,7 +122,8 @@ def test_negative_or_nan_raises(name, bad, arr):
         "verify_kolmogorov_tau", "verify_gc_m", "verify_gc_tau", "major_threshold",
         "bin_sample", "bin_cut", "chi_square_stat", "gof_pvalue", "chi2_sf",
         "lower_gamma_s", "upper_gamma_x", "estimate_slope_tau_star",
-        "estimate_slope_tau", "log_likelihood_t", "folded_normal_sigma"])
+        "estimate_slope_tau", "log_likelihood_t", "folded_normal_sigma",
+        "kolmogorov_sf", "ks_test_sample", "ks_test_cdf"])
 def test_nan_parameter_is_rejected(call):
     # our own message, not one numpy raises further in
     with pytest.raises(ValueError, match="must"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -86,6 +87,17 @@ class TestConditionalCdf:
         assert conditional_cdf(WaitingLaw(4 / 3, 3, 1.5), 1e-17) >= 0.0
         low, high = conditional_cdf(WaitingLaw(2, 3, 1), np.array([5e-324, 6.9e-243]))
         assert high >= low
+
+    def test_overflowing_h_over_t(self):
+        # x = h/t is inf although h and t are finite: G is 1, not NaN
+        law = WaitingLaw(1e-300, 2, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert conditional_cdf(law, 1e10) == 1.0
+            assert np.array_equal(conditional_cdf(law, np.array([1e10, math.inf, 1e5])),
+                                  [1.0, 1.0, 1.0])
+            # k = 1 never forms h/t, so t = 0 stays finite-valued
+            assert conditional_cdf(WaitingLaw(0.0, 1, 1.0), 1.0) == limit_cdf(1.0, 1.0)
 
     def test_is_valid_cdf(self):
         law = WaitingLaw(12.0, 10, 1.0)

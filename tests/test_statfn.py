@@ -7,7 +7,8 @@ from scipy import integrate, special, stats
 
 from quakewait import statfn
 from quakewait.statfn import (ConvergenceError, chi2_sf, kolmogorov_sf, ks_test,
-                              normal_cdf, normal_quantile, reg_lower_incomplete_gamma)
+                              normal_cdf, normal_quantile, reg_lower_incomplete_gamma,
+                              reg_upper_incomplete_gamma)
 
 
 def gamma_cdf_quadrature(s, x):
@@ -34,6 +35,16 @@ class TestIncompleteGamma:
         with pytest.raises(ValueError):
             reg_lower_incomplete_gamma(1.0, -1.0)
 
+    @pytest.mark.parametrize("s", [0.5, 1.0, 4.5, 1e6])
+    def test_infinite_x(self, s):
+        assert reg_lower_incomplete_gamma(s, math.inf) == 1.0
+        assert reg_upper_incomplete_gamma(s, math.inf) == 0.0
+
+    @pytest.mark.parametrize("s", [math.inf, -math.inf])
+    def test_infinite_s_rejected(self, s):
+        with pytest.raises(ValueError, match="s must be finite"):
+            reg_lower_incomplete_gamma(s, 1.0)
+
     @pytest.mark.parametrize("s, x", [(4.5, 3.0), (4.5, 8.25)],
                              ids=["series", "continued_fraction"])
     def test_iteration_cap_raises(self, monkeypatch, s, x):
@@ -54,6 +65,9 @@ class TestChi2Sf:
 
     def test_at_zero(self):
         assert chi2_sf(0.0, 9) == 1.0
+
+    def test_at_infinity(self):
+        assert chi2_sf(math.inf, 9) == 0.0
 
     @pytest.mark.parametrize("x", [1.0, 5.0, 10.0])
     def test_two_dof_closed_form(self, x):
