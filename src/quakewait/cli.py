@@ -23,7 +23,7 @@ from . import inference
 from .intensity import IntensityModel
 from .limitlaw import random_cdf
 from .nhpp import simulate_path, write_events_csv
-from .statfn import ConvergenceError
+from .statfn import ConvergenceError, chi2_sf
 
 
 def _sig12(x: float) -> float:
@@ -62,36 +62,40 @@ def _row(t, perc, chi2, p) -> dict:
             "chi2": _sig12(chi2), "p_value": _sig12(p)}
 
 
-def _score_percentage_rows(path) -> list[dict]:
+def _score_percentage_rows(path) -> tuple[int, list[dict]]:
     out = []
     with open(path) as fp:
         reader = csv.reader(fp)
-        header = next(reader, None)
-        if not header or header[0].strip().lower() != "t" or len(header) != 11:
-            raise ValueError("expected header 't,p1,...,p10'")
+        header = [c.strip().lower() for c in next(reader, [])]
+        # r from the header; trailing chi2 and p_value cells are recomputed
+        r = len(header) - (3 if header[-2:] == ["chi2", "p_value"] else 1)
+        if header[:1] != ["t"] or r < 2:
+            raise ValueError("expected header 't,p1,...,p<r>[,chi2,p_value]' with r >= 2")
         for row in reader:
             if not row or all(not c.strip() for c in row):
                 continue
-            t = float(row[0])
-            perc = [float(c) for c in row[1:]]
+            if len(row) != len(header):
+                raise ValueError(f"line {reader.line_num}: expected {len(header)} cells, "
+                                 f"got {len(row)}")
+            perc = [float(c) for c in row[1:r + 1]]
             stat = gofmod.chi_square_stat(perc)
-            out.append(_row(t, perc, stat, gofmod.gof_pvalue(stat)))
-    return out
+            out.append(_row(float(row[0]), perc, stat, chi2_sf(stat, r - 1)))
+    return r, out
 
 
 def _cmd_gof(args) -> int:
     if args.from_percentages:
-        rows = _score_percentage_rows(args.from_percentages)
+        r, rows = _score_percentage_rows(args.from_percentages)
     else:
         seed = _resolve_seed(args.seed)
         t_values = [float(t) for t in args.t.split(",")]
         reports = gofmod.table1_experiment(args.m, args.k, t_values, args.n,
                                            seed, r=args.r)
-        rows = [{"seed": seed, **_row(r.t, r.percentages, r.chi2, r.p_value)}
-                for r in reports]
+        r = args.r
+        rows = [{"seed": seed, **_row(rep.t, rep.percentages, rep.chi2, rep.p_value)}
+                for rep in reports]
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
-        r = len(rows[0]["percentages"]) if rows else 10
         writer.writerow(["t"] + [f"p{i}" for i in range(1, r + 1)] + ["chi2", "p_value"])
         for row in rows:
             writer.writerow([row["t"], *row["percentages"], row["chi2"], row["p_value"]])
@@ -140,6 +144,8 @@ def _svg_bands(band, point_rate: float, h_max: float) -> str:
 
 
 def _cmd_analyze(args) -> int:
+    if (args.out_svg or args.out_bands) and not args.bands:
+        raise ValueError("--out-svg and --out-bands need --bands")
     if args.catalog:
         with open(args.catalog) as fp:
             events = cat.parse_catalog(fp)
@@ -177,6 +183,8 @@ def _cmd_analyze(args) -> int:
     if args.bands:
         if not args.h_step > 0:
             raise ValueError("--h-step must be strictly positive")
+        if not 0 < args.h_max < np.inf:
+            raise ValueError("--h-max must be finite and strictly positive")
         if not segments:
             raise ValueError("--bands needs a segment, and no event reaches "
                              "the major threshold")
@@ -243,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gof.add_argument("--r", type=int, default=10)
     gof.add_argument("--seed", type=int)
     gof.add_argument("--from-percentages",
-                     help="score a 't,p1..p10' CSV instead of simulating")
+                     help="score a 't,p1,...,p<r>' CSV, as --format csv writes")
     gof.add_argument("--format", choices=("json", "csv"), default="json")
     gof.set_defaults(func=_cmd_gof)
 

@@ -2,9 +2,9 @@
 exponential limit: equiprobable binning, the chi-square statistic on
 observed percentages, and the full simulation experiment.
 
-Note on the statistic: with r = 10 equiprobable bins and percentages O_j,
-the Pearson statistic is sum (O_j - 10)^2 / 10, identical to the count
-form sum (n_j - n/10)^2 / (n/10) at n = 1000.
+Note on the statistic: with r equiprobable bins and percentages O_j, the
+Pearson statistic is sum (O_j - 100/r)^2 / (100/r), which is (100/n) times
+the count form sum (n_j - n/r)^2 / (n/r): the two agree at n = 100.
 """
 from __future__ import annotations
 
@@ -43,27 +43,21 @@ def bin_percentages(samples, cuts) -> np.ndarray:
     return 100.0 * counts / samples_arr.size
 
 
-def _pearson(perc: np.ndarray, r: int) -> float:
-    """Pearson statistic on r observed percentages with expected value
-    100/r in every bin."""
-    expected = 100.0 / r
-    return float(np.sum((perc - expected) ** 2) / expected)
-
-
 def chi_square_stat(percentages) -> float:
-    """Pearson statistic on 10 observed percentages with expected value 10
-    in every bin: sum (O_j - 10)^2 / 10."""
+    """Pearson statistic on a row of r >= 2 observed percentages with
+    expected value 100/r in every bin: sum (O_j - 100/r)^2 / (100/r)."""
     p = _nonneg(percentages, "percentages")
-    if p.shape != (10,):
-        raise ValueError("exactly 10 percentages required")
+    if p.ndim != 1 or p.size < 2:
+        raise ValueError("percentages must be one row of at least 2 bins")
     if abs(p.sum() - 100.0) > 1e-6:
         raise ValueError("percentages must sum to 100")
-    return _pearson(p, 10)
+    expected = 100.0 / p.size
+    return float(np.sum((p - expected) ** 2) / expected)
 
 
 def gof_pvalue(stat: float) -> float:
-    """Upper-tail probability of the statistic under chi-square with 9
-    degrees of freedom."""
+    """Upper-tail probability of a 10-bin statistic under chi-square with
+    9 degrees of freedom, the Table 1 test."""
     if not stat >= 0:
         raise ValueError("statistic must be nonnegative")
     return chi2_sf(stat, 9)
@@ -83,7 +77,7 @@ def table1_experiment(m: float, k: int, t_values, n: int, seed,
         law = WaitingLaw(t, k, m)
         samples = sample_conditional(law, n, gen)
         perc = bin_percentages(samples, cuts)
-        stat = _pearson(perc, r)
+        stat = chi_square_stat(perc)
         p = chi2_sf(stat, r - 1)
         reports.append(GofReport(float(t), perc, stat, p, int(n), int(r)))
     return reports

@@ -19,6 +19,9 @@ from .nhpp import EventTimes, _write_csv
 from .rng import substreams
 from .statfn import KsResult, folded_normal_cdf, ks_test, normal_cdf, normal_quantile
 
+# numpy's Generator.poisson rejects any larger mean
+_POISSON_MEAN_MAX = np.iinfo("l").max - 10 * math.sqrt(np.iinfo("l").max)
+
 
 @dataclass(frozen=True)
 class SlopeEstimate:
@@ -166,6 +169,10 @@ def _slope_draws(m: float, windows, seed) -> np.ndarray:
     N ~ Poisson(m windows[i]) from substream i rather than materializing
     the full path; the distribution of the estimate is identical.
     """
+    m, window = float(m), float(np.max(windows))
+    if not m * window <= _POISSON_MEAN_MAX:
+        raise ValueError(f"m * window must be at most {_POISSON_MEAN_MAX!r}, the largest "
+                         f"Poisson mean numpy draws (got m={m!r}, window={window!r})")
     gens = substreams(seed, len(windows))
     counts = np.array([g.poisson(m * w) for g, w in zip(gens, windows)], dtype=float)
     return counts / windows

@@ -28,7 +28,7 @@ class WaitingLaw:
     """Parameters of the conditional waiting-time CDF at elapsed time t.
 
     Valid only when m * t >= k - 1; otherwise the density at h = 0 would
-    be negative.
+    be negative.  m * t must also be finite.
     """
 
     t: float
@@ -51,6 +51,8 @@ class WaitingLaw:
             raise ValidityError(
                 f"need m*t >= k-1 for a valid CDF (got m*t={self.m * self.t}, "
                 f"k-1={self.k - 1})")
+        if self.m * self.t == np.inf:
+            raise ValidityError(f"m*t must be finite (got m={self.m}, t={self.t})")
 
 
 def random_cdf(m_hat: float, h):
@@ -88,15 +90,13 @@ def conditional_cdf(law: WaitingLaw, h):
     It is 1 where x = h/t overflows to inf (h = inf included), where the
     log-survival would be inf - inf: for k >= 2 it lies below -(k-1) x,
     so G is exactly 1 there.  For k = 1 it is -m h and t may be 0, so
-    only h = inf is masked.
+    only h = inf is masked.  Where the log-survival itself overflows to
+    -inf, G is exactly 1 too.
     """
     h = _nonneg(h, "h")
-    if law.k == 1:
-        over = np.isinf(h)
-    else:
-        with np.errstate(over="ignore"):
-            over = np.isinf(h / law.t)
-    g = _log_survival(law, np.where(over, 0.0, h))
+    with np.errstate(over="ignore"):
+        over = np.isinf(h) if law.k == 1 else np.isinf(h / law.t)
+        g = _log_survival(law, np.where(over, 0.0, h))
     return _float_if_scalar(np.where(over, 1.0, -np.expm1(g)))
 
 

@@ -71,7 +71,30 @@ class TestGof:
         table.write_text("")
         code, _, err = run(capsys, "gof", "--from-percentages", str(table))
         assert code == 2
-        assert err == "error: expected header 't,p1,...,p10'\n"
+        assert err == ("error: expected header 't,p1,...,p<r>[,chi2,p_value]' "
+                       "with r >= 2\n")
+
+    @pytest.mark.parametrize("r", [5, 10])
+    def test_csv_round_trip(self, capsys, tmp_path, r):
+        # what --format csv writes, --from-percentages scores to the same bytes
+        code, written, _ = run(capsys, "gof", "--seed", "3", "--r", str(r),
+                               "--format", "csv")
+        assert code == 0
+        table = tmp_path / "rows.csv"
+        table.write_text(written, newline="")
+        code, scored, _ = run(capsys, "gof", "--from-percentages", str(table),
+                              "--format", "csv")
+        assert code == 0
+        assert scored == written
+
+    def test_input_chi2_cells_are_recomputed(self, capsys, tmp_path):
+        table = tmp_path / "rows.csv"
+        table.write_text("t,p1,p2,p3,chi2,p_value\n1,50,25,25,0,1\n")
+        code, stdout, _ = run(capsys, "gof", "--from-percentages", str(table))
+        assert code == 0
+        (row,) = json.loads(stdout)
+        assert row["chi2"] == 12.5
+        assert row["p_value"] == pytest.approx(stats.chi2.sf(12.5, 2), rel=1e-11)
 
     def test_p_value_out_of_reach_exits_1(self, capsys, monkeypatch):
         # a term cap too small for chi2 near df = 39999
@@ -203,17 +226,41 @@ class TestBadInput:
         (["gof", "--t", "inf"], "t must be finite and nonnegative"),
         (["gof", "--m", "inf"], "m must be finite and strictly positive"),
         (["gof", "--from-percentages", "{nan_row}"], "percentages must be nonnegative"),
+        (["analyze", "--bands", "--h-max", "nan"], "--h-max must be finite and strictly"),
+        (["analyze", "--bands", "--h-max", "inf"], "--h-max must be finite and strictly"),
+        (["analyze", "--bands", "--h-max", "0", "--out-svg", "{svg}"],
+         "--h-max must be finite and strictly"),
+        (["analyze", "--out-svg", "{svg}"], "--out-svg and --out-bands need --bands"),
+        (["analyze", "--out-bands", "{svg}"], "--out-svg and --out-bands need --bands"),
+        (["verify", "clt", "--m", "1e300", "--t", "1e300", "--reps", "100"],
+         "m * window must be at most 9.223372006484771e+18"),
+        (["verify", "clt", "--m", "1e10", "--t", "1e10", "--reps", "100"],
+         "(got m=10000000000.0, window=10000000000.0)"),
+        (["gof", "--m", "1e300", "--t", "1e300"], "m*t must be finite"),
+        (["gof", "--from-percentages", "{one_bin}"], "with r >= 2"),
+        (["gof", "--from-percentages", "{short_row}"], "line 3: expected 6 cells, got 5"),
     ], ids=["horizon_inf", "horizon_nan", "h_step_zero", "segment_negative",
             "segment_zero", "segment_past_end", "bands_without_segment",
             "bands_without_moderate_event", "major_threshold_nan", "gc_reps_zero",
-            "gc_m_zero", "gof_t_inf", "gof_m_inf", "gof_percentage_nan"])
+            "gc_m_zero", "gof_t_inf", "gof_m_inf", "gof_percentage_nan",
+            "h_max_nan", "h_max_inf", "h_max_zero", "svg_without_bands",
+            "bands_csv_without_bands", "clt_poisson_mean_inf", "clt_poisson_mean_large",
+            "gof_mt_overflow", "gof_percentages_one_bin", "gof_percentages_short_row"])
     def test_exits_2_with_one_line(self, capsys, tmp_path, args, message):
         lone_major = tmp_path / "lone.csv"
         lone_major.write_text("year,magnitude\n1900,9.0\n")
         nan_row = tmp_path / "nan_row.csv"
         nan_row.write_text("t," + ",".join(f"p{i}" for i in range(1, 11)) + "\n"
                            "25,nan" + ",10" * 9 + "\n")
-        args = [a.format(lone_major=lone_major, nan_row=nan_row) for a in args]
+        one_bin = tmp_path / "one_bin.csv"
+        one_bin.write_text("t,p1,chi2,p_value\n10,100,0,1\n")
+        short_row = tmp_path / "short_row.csv"
+        short_row.write_text("t,p1,p2,p3,chi2,p_value\n1,50,25,25,0,1\n1,50,25,25,0\n")
+        svg = tmp_path / "out.svg"
+        args = [a.format(lone_major=lone_major, nan_row=nan_row, one_bin=one_bin,
+                         short_row=short_row, svg=svg) for a in args]
+        if args[0] == "verify":
+            args += ["--seed", "0"]
         if args[0] == "simulate":
             args += ["--model", CONSTANT_MODEL, "--seed", "1",
                      "--out", str(tmp_path / "ev.csv")]
@@ -225,17 +272,32 @@ class TestBadInput:
         assert error.startswith("error: ") and err.endswith("\n")
         assert all(line.startswith("warning: ") for line in warned)
         assert message in error
+        assert not svg.exists()
 
 
-def test_warnings_reach_stderr_one_line_each():
-    # in-process runs hide this: pytest captures warnings before they print
+def run_subprocess(*args):
+    # in-process runs hide warnings: pytest captures them before they print
     src = str(Path(quakewait.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "quakewait.cli", "analyze", "--bands",
-         "--major-threshold", "10"],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "quakewait.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "clt", "--m", "1e300", "--t", "1e300", "--reps", "100", "--seed", "0"],
+    ["gof", "--m", "1e300", "--t", "1e300", "--k", "2", "--seed", "0"],
+], ids=["poisson_mean", "waiting_law"])
+def test_overflowing_parameters_warn_nothing(args):
+    proc = run_subprocess(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+
+
+def test_warnings_reach_stderr_one_line_each():
+    proc = run_subprocess("analyze", "--bands", "--major-threshold", "10")
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()

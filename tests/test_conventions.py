@@ -130,6 +130,22 @@ def test_nan_parameter_is_rejected(call):
         call()
 
 
+# finite parameters whose product overflows, or passes what numpy can draw
+@pytest.mark.parametrize("call, match", [
+    (lambda: WaitingLaw(1e300, 2, 1e300), "m\\*t must be finite"),
+    (lambda: WaitingLaw(1e300, 1, 1e300), "m\\*t must be finite"),
+    (lambda: verify_clt(1e300, 1e300, 100, 0), "m \\* window must be at most"),
+    (lambda: verify_clt(1e10, 1e10, 100, 0), "m \\* window must be at most"),
+    (lambda: verify_kolmogorov_limit(1e10, 1e10, 500, 0), "m \\* window must be at most"),
+    (lambda: verify_glivenko_cantelli(1e10, (10.0, 1e10), 10, 0),
+     "m \\* window must be at most"),
+], ids=["waiting_law", "waiting_law_k1", "verify_clt_inf", "verify_clt",
+        "verify_kolmogorov", "verify_gc"])
+def test_overflowing_parameter_is_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_infinity_is_accepted():
     assert MODEL.rate(math.inf) == 1.0
     assert MODEL.cif(math.inf) == math.inf

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quakewait.gof import (bin_percentages, chi_square_stat, gof_pvalue,
                            table1_experiment)
@@ -54,6 +56,25 @@ class TestChiSquareStat:
         with pytest.raises(ValueError):
             chi_square_stat([11.0] * 10)
 
+    def test_any_bin_count(self):
+        assert chi_square_stat([20.0] * 5) == 0.0
+        # expected 100/3 per bin: (50 - 100/3)^2 + 2 (25 - 100/3)^2 over 100/3
+        assert chi_square_stat([50.0, 25.0, 25.0]) == pytest.approx(12.5, rel=1e-14)
+
+    @pytest.mark.parametrize("row", [[100.0], [[50.0, 50.0]]], ids=["one_bin", "two_d"])
+    def test_needs_one_row_of_two_bins(self, row):
+        with pytest.raises(ValueError, match="at least 2 bins"):
+            chi_square_stat(row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(r=st.integers(2, 64), n=st.integers(1, 10_000), seed=st.integers(0, 2**32 - 1))
+    def test_percentage_form_is_scaled_count_form(self, r, n, seed):
+        counts = np.random.default_rng(seed).multinomial(n, [1.0 / r] * r)
+        expected = n / r
+        count_form = float(np.sum((counts - expected) ** 2) / expected)
+        assert chi_square_stat(100.0 * counts / n) == pytest.approx(
+            100.0 / n * count_form, rel=1e-9, abs=1e-9)
+
     def test_equals_pearson_for_hundred_draws(self):
         # with 100 draws percentages equal raw counts, so the statistic
         # reduces to the classic Pearson form with expected count 10
@@ -106,6 +127,12 @@ class TestExperiment:
         (a,) = table1_experiment(1.0, 10, [25.0], 1000, 9)
         b = table1_experiment(1.0, 10, [25.0, 50.0], 1000, 9)[0]
         assert np.array_equal(a.percentages, b.percentages)
+
+    @pytest.mark.parametrize("r", [5, 10])
+    def test_statistic_bits_follow_the_percentage_form(self, r):
+        for rep in table1_experiment(1.0, 10, [25.0, 50.0], 1000, 4, r=r):
+            assert rep.percentages.size == r
+            assert rep.chi2 == float(np.sum((rep.percentages - 100.0 / r) ** 2) / (100.0 / r))
 
     def test_report_invariants(self):
         reports = table1_experiment(1.0, 10, [25.0, 50.0], 1000, 4)

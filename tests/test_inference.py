@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quakewait.inference import (confidence_bands, estimate_slope,
+from quakewait.inference import (_POISSON_MEAN_MAX, confidence_bands, estimate_slope,
                                  estimate_slope_with_ci, path_log_likelihood,
                                  random_cdf, slope_ci, verify_clt,
                                  verify_glivenko_cantelli,
@@ -301,6 +301,14 @@ class TestVerifiers:
     def test_kolmogorov_min_reps(self):
         with pytest.raises(ValueError):
             verify_kolmogorov_limit(1.0, 100.0, 100, 0)
+
+    def test_poisson_mean_bound(self):
+        # numpy draws at its bound and rejects the next double up
+        assert verify_clt(_POISSON_MEAN_MAX, 1.0, 100, 0).statistics.size == 100
+        with pytest.raises(ValueError, match="largest Poisson mean numpy draws"):
+            verify_clt(np.nextafter(_POISSON_MEAN_MAX, np.inf), 1.0, 100, 0)
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(np.nextafter(_POISSON_MEAN_MAX, np.inf))
 
     def test_determinism(self):
         a = verify_clt(1.0, 1000.0, 200, 7)

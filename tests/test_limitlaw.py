@@ -98,6 +98,9 @@ class TestConditionalCdf:
                                   [1.0, 1.0, 1.0])
             # k = 1 never forms h/t, so t = 0 stays finite-valued
             assert conditional_cdf(WaitingLaw(0.0, 1, 1.0), 1.0) == limit_cdf(1.0, 1.0)
+            # x is finite but the log-survival overflows to -inf
+            assert conditional_cdf(WaitingLaw(1e-10, 2, 1e300), 1e30) == 1.0
+            assert conditional_cdf(WaitingLaw(1e-10, 1, 1e300), 1e30) == 1.0
 
     def test_is_valid_cdf(self):
         law = WaitingLaw(12.0, 10, 1.0)
