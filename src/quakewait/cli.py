@@ -4,13 +4,14 @@ Subcommands: ``simulate`` (write a sample path), ``gof`` (the conditional
 vs limit-law experiment), ``analyze`` (catalog slope series, CDF
 comparisons, confidence bands), ``verify`` (Monte Carlo checks of the
 asymptotic results).  Exit codes: 0 success, 1 internal failure, 2 usage
-or input error.
+or input error (1 also when memory runs out).
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import math
 import secrets
 import sys
 import warnings
@@ -77,9 +78,12 @@ def _score_percentage_rows(path) -> tuple[int, list[dict]]:
             if len(row) != len(header):
                 raise ValueError(f"line {reader.line_num}: expected {len(header)} cells, "
                                  f"got {len(row)}")
+            t = float(row[0])
+            if not math.isfinite(t):
+                raise ValueError(f"line {reader.line_num}: t must be finite, got {row[0]!r}")
             perc = [float(c) for c in row[1:r + 1]]
             stat = gofmod.chi_square_stat(perc)
-            out.append(_row(float(row[0]), perc, stat, chi2_sf(stat, r - 1)))
+            out.append(_row(t, perc, stat, chi2_sf(stat, r - 1)))
     return r, out
 
 
@@ -105,6 +109,9 @@ def _cmd_gof(args) -> int:
 
 
 # -- analyze ----------------------------------------------------------
+
+BANDS_MAX_POINTS = 100_000  # largest --bands grid: about 1.2 MB of CSV, 3.9 MB of SVG
+
 
 def _svg_bands(band, point_rate: float, h_max: float) -> str:
     """Hand-rolled SVG: lower band, upper band and the point-estimate
@@ -181,10 +188,15 @@ def _cmd_analyze(args) -> int:
             })
         out["comparisons"] = comparisons
     if args.bands:
-        if not args.h_step > 0:
-            raise ValueError("--h-step must be strictly positive")
-        if not 0 < args.h_max < np.inf:
+        if not 0 < args.h_step < math.inf:
+            raise ValueError("--h-step must be strictly positive and finite")
+        if not 0 < args.h_max < math.inf:
             raise ValueError("--h-max must be finite and strictly positive")
+        # np.arange's length is the ceiling of this ratio, taken in floats
+        # so that numpy never sees a grid too large to build
+        if not (args.h_max + args.h_step / 2) / args.h_step <= BANDS_MAX_POINTS:
+            raise ValueError(f"--h-max / --h-step gives more than {BANDS_MAX_POINTS} "
+                             "grid points")
         if not segments:
             raise ValueError("--bands needs a segment, and no event reaches "
                              "the major threshold")
@@ -264,7 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--bands", action="store_true")
     ana.add_argument("--alpha", type=float, default=0.05)
     ana.add_argument("--h-max", type=float, default=20.0)
-    ana.add_argument("--h-step", type=float, default=0.25)
+    ana.add_argument("--h-step", type=float, default=0.25,
+                     help=f"grid step; the grid has at most {BANDS_MAX_POINTS} points")
     ana.add_argument("--out-svg")
     ana.add_argument("--out-bands")
     ana.set_defaults(func=_cmd_analyze)
@@ -296,6 +309,10 @@ def main(argv=None) -> int:
             return 2
         except ConvergenceError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:
+            print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+                  file=sys.stderr)
             return 1
 
 

@@ -31,15 +31,19 @@ class GofReport:
 
 def bin_percentages(samples, cuts) -> np.ndarray:
     """Percentage of samples in each of the len(cuts)+1 bins
-    [0, c_1), ..., [c_{r-1}, infinity)."""
+    [0, c_1), ..., [c_{r-1}, infinity).
+
+    Counted from the sorted samples: the number below each cut, then the
+    differences.  A sample on a cut goes to the bin the cut opens.
+    """
     cuts_arr = _nonneg(cuts, "cuts")
     if not (np.diff(cuts_arr) > 0).all():
         raise ValueError("cuts must be strictly increasing")
     samples_arr = _nonneg(samples, "samples")
     if samples_arr.size == 0:
         raise ValueError("at least one sample required")
-    idx = np.searchsorted(cuts_arr, samples_arr, side="right")
-    counts = np.bincount(idx, minlength=cuts_arr.size + 1)
+    below = np.sort(samples_arr).searchsorted(cuts_arr)
+    counts = np.diff(below, prepend=0, append=samples_arr.size)
     return 100.0 * counts / samples_arr.size
 
 

@@ -174,7 +174,8 @@ def _slope_draws(m: float, windows, seed) -> np.ndarray:
         raise ValueError(f"m * window must be at most {_POISSON_MEAN_MAX!r}, the largest "
                          f"Poisson mean numpy draws (got m={m!r}, window={window!r})")
     gens = substreams(seed, len(windows))
-    counts = np.array([g.poisson(m * w) for g, w in zip(gens, windows)], dtype=float)
+    counts = np.fromiter(map(np.random.Generator.poisson, gens, (m * windows).tolist()),
+                         float, len(gens))
     return counts / windows
 
 

@@ -16,8 +16,9 @@ of 4 when a spawn key is present, followed by the spawn key.  The hash
 constant it advances does not depend on the data, and children differ
 only in the last word, their spawn index.  So ``_child_states`` hashes
 the seed words once and the spawn indices as one uint32 array, one
-element per child, and each ``PCG64`` is seeded from its precomputed row
-through a seed source that returns that row.
+element per child.  One seed feeder per call then hands the rows to the
+``PCG64`` constructors in order, so every generator of a call shares that
+feeder as its (non-spawnable) ``seed_seq``.
 """
 from __future__ import annotations
 
@@ -119,36 +120,50 @@ def _child_states(master_seed: int, n: int) -> np.ndarray:
 
 
 @functools.cache
-def _fixed_state_type() -> type:
-    """The seed source that hands a PCG64 one ``_child_states`` row.
+def _feeder_type() -> type:
+    """The seed source that hands out the rows of one ``_child_states``
+    array, in order, one per ``PCG64`` built from it.
 
     PCG64 asks it for ``(4, np.uint64)``; any other request means numpy
     seeds PCG64 differently from what ``_child_states`` computes, so it
-    raises rather than let the streams change unnoticed.  The class is
-    built on first use: subclassing ``ISeedSequence`` at import would
-    import numpy.random into every CLI command, those that draw nothing
-    included.
+    raises rather than let the streams change unnoticed.  So does a
+    request beyond the last row, and ``close`` raises if a row is left
+    unconsumed: either means a PCG64 did not take exactly one row.  The
+    class is built on first use: subclassing ``ISeedSequence`` at import
+    would import numpy.random into every CLI command, those that draw
+    nothing included.
     """
 
-    class FixedState(np.random.bit_generator.ISeedSequence):
-        def __init__(self, state: np.ndarray):
-            self._state = state
+    class Feeder(np.random.bit_generator.ISeedSequence):
+        def __init__(self, states: np.ndarray):
+            self._rows = iter(states)
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != _STATE_WORDS or np.dtype(dtype) != np.uint64:
+            # the identity test skips np.dtype's cost on PCG64's own request
+            if n_words != _STATE_WORDS or (dtype is not np.uint64
+                                           and np.dtype(dtype) != np.uint64):
                 raise RuntimeError(
                     f"expected a request for ({_STATE_WORDS}, uint64) state, "
                     f"got ({n_words}, {np.dtype(dtype)})")
-            return self._state
+            row = next(self._rows, None)
+            if row is None:
+                raise RuntimeError("every state row has been handed out")
+            return row
 
-    return FixedState
+        def close(self) -> None:
+            if next(self._rows, None) is not None:
+                raise RuntimeError("a state row was left unconsumed")
+
+    return Feeder
 
 
 def substreams(master_seed: int, n: int) -> list[np.random.Generator]:
     """Generators for replicates ``0..n-1``: ``[substream(master_seed, i)
-    for i in range(n)]``, their states derived in one vectorised pass.
-    They carry no SeedSequence, so ``Generator.spawn`` is not available
+    for i in range(n)]``, their states derived in one vectorised pass and
+    fed to the ``PCG64`` constructors by one feeder.  They carry that
+    feeder, not a SeedSequence, so ``Generator.spawn`` is not available
     on them."""
-    states = _child_states(int(master_seed), operator.index(n))
-    fixed = _fixed_state_type()
-    return [np.random.Generator(np.random.PCG64(fixed(row))) for row in states]
+    feeder = _feeder_type()(_child_states(int(master_seed), operator.index(n)))
+    gens = [np.random.Generator(np.random.PCG64(feeder)) for _ in range(n)]
+    feeder.close()
+    return gens

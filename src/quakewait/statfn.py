@@ -173,11 +173,19 @@ def chi2_sf(x: float, df: int) -> float:
 _STANDARD_NORMAL = NormalDist()
 
 
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+
+
 def normal_cdf(x):
-    """Standard normal CDF; accepts scalars or arrays."""
-    x_arr = np.asarray(x, dtype=float)
-    out = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x_arr.ravel()])
-    return _float_if_scalar(out.reshape(x_arr.shape))
+    """Standard normal CDF 0.5 erfc(-x / sqrt 2); accepts scalars or arrays.
+
+    The division runs on the array, as x / -sqrt 2, which is the same
+    double as -x / sqrt 2; ``math.erfc`` runs per element through one
+    ufunc, whose object result ``np.asarray`` turns back into floats (a
+    Python float for 0-d input).
+    """
+    z = np.asarray(_ERFC(np.asarray(x, dtype=float) / -math.sqrt(2.0)), dtype=float)
+    return _float_if_scalar(0.5 * z)
 
 
 def folded_normal_cdf(x, sigma: float):

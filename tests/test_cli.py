@@ -10,7 +10,7 @@ import pytest
 from scipy import stats
 
 import quakewait
-from quakewait import statfn
+from quakewait import cli, statfn
 from quakewait.cli import main
 
 CONSTANT_MODEL = '{"segments":[[0,1]],"tail_start":0,"tail_rate":1}'
@@ -239,13 +239,30 @@ class TestBadInput:
         (["gof", "--m", "1e300", "--t", "1e300"], "m*t must be finite"),
         (["gof", "--from-percentages", "{one_bin}"], "with r >= 2"),
         (["gof", "--from-percentages", "{short_row}"], "line 3: expected 6 cells, got 5"),
+        (["gof", "--from-percentages", "{nan_t}"], "line 2: t must be finite, got 'nan'"),
+        (["gof", "--from-percentages", "{nan_t}", "--format", "csv"],
+         "line 2: t must be finite, got 'nan'"),
+        (["gof", "--from-percentages", "{inf_t}"], "line 3: t must be finite, got '-inf'"),
+        (["gof", "--from-percentages", "{inf_t}", "--format", "csv"],
+         "line 3: t must be finite, got '-inf'"),
+        (["analyze", "--bands", "--h-step", "inf"], "--h-step must be strictly positive"),
+        (["analyze", "--bands", "--h-step", "nan"], "--h-step must be strictly positive"),
+        (["analyze", "--bands", "--h-max", "1e300"],
+         "--h-max / --h-step gives more than 100000 grid points"),
+        (["analyze", "--bands", "--h-max", "25000", "--out-svg", "{svg}"],
+         "--h-max / --h-step gives more than 100000 grid points"),
+        (["analyze", "--bands", "--h-step", "5e-324"],
+         "--h-max / --h-step gives more than 100000 grid points"),
     ], ids=["horizon_inf", "horizon_nan", "h_step_zero", "segment_negative",
             "segment_zero", "segment_past_end", "bands_without_segment",
             "bands_without_moderate_event", "major_threshold_nan", "gc_reps_zero",
             "gc_m_zero", "gof_t_inf", "gof_m_inf", "gof_percentage_nan",
             "h_max_nan", "h_max_inf", "h_max_zero", "svg_without_bands",
             "bands_csv_without_bands", "clt_poisson_mean_inf", "clt_poisson_mean_large",
-            "gof_mt_overflow", "gof_percentages_one_bin", "gof_percentages_short_row"])
+            "gof_mt_overflow", "gof_percentages_one_bin", "gof_percentages_short_row",
+            "gof_percentages_t_nan_json", "gof_percentages_t_nan_csv",
+            "gof_percentages_t_inf_json", "gof_percentages_t_inf_csv", "h_step_inf",
+            "h_step_nan", "h_max_huge", "grid_one_past_limit", "h_step_subnormal"])
     def test_exits_2_with_one_line(self, capsys, tmp_path, args, message):
         lone_major = tmp_path / "lone.csv"
         lone_major.write_text("year,magnitude\n1900,9.0\n")
@@ -256,9 +273,14 @@ class TestBadInput:
         one_bin.write_text("t,p1,chi2,p_value\n10,100,0,1\n")
         short_row = tmp_path / "short_row.csv"
         short_row.write_text("t,p1,p2,p3,chi2,p_value\n1,50,25,25,0,1\n1,50,25,25,0\n")
+        nan_t = tmp_path / "nan_t.csv"
+        nan_t.write_text("t,p1,p2\nnan,50,50\n")
+        inf_t = tmp_path / "inf_t.csv"
+        inf_t.write_text("t,p1,p2\n1,50,50\n-inf,50,50\n")
         svg = tmp_path / "out.svg"
         args = [a.format(lone_major=lone_major, nan_row=nan_row, one_bin=one_bin,
-                         short_row=short_row, svg=svg) for a in args]
+                         short_row=short_row, nan_t=nan_t, inf_t=inf_t, svg=svg)
+                for a in args]
         if args[0] == "verify":
             args += ["--seed", "0"]
         if args[0] == "simulate":
@@ -273,6 +295,44 @@ class TestBadInput:
         assert all(line.startswith("warning: ") for line in warned)
         assert message in error
         assert not svg.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--h-step", "inf"], ["--h-max", "1e300"], ["--h-max", "1e9"],
+    ["--h-max", "1", "--h-step", "1e-300"]])
+def test_bands_grid_is_checked_before_it_is_built(capsys, monkeypatch, args):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before rejecting the grid")
+
+    monkeypatch.setattr(cli.np, "arange", no_allocation)
+    code, stdout, err = run(capsys, "analyze", "--bands", *args)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: --h-") and err.count("\n") == 1
+
+
+def test_bands_grid_at_the_limit_is_built(capsys, tmp_path):
+    # 0, 0.25, ..., 24999.75: exactly the largest grid allowed
+    out = tmp_path / "bands.csv"
+    code, _, _ = run(capsys, "analyze", "--bands", "--h-max", "24999.75",
+                     "--out-bands", str(out))
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 1 + cli.BANDS_MAX_POINTS
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 8.00 GiB for an array"),
+     "error: out of memory: Unable to allocate 8.00 GiB for an array\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy_message", "bare"])
+def test_memory_error_exits_1_with_one_line(capsys, monkeypatch, tmp_path, exc, line):
+    def simulate_path(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "simulate_path", simulate_path)
+    code, stdout, err = run(capsys, "simulate", "--model", CONSTANT_MODEL,
+                            "--horizon", "1e12", "--seed", "1",
+                            "--out", str(tmp_path / "ev.csv"))
+    assert (code, stdout, err) == (1, "", line)
 
 
 def run_subprocess(*args):

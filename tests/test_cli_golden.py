@@ -44,6 +44,7 @@ CASES = {
     "gof_json": (["gof", "--seed", "3"], []),
     "gof_csv": (["gof", "--seed", "3", "--format", "csv"], []),
     "gof_r5": (["gof", "--seed", "3", "--r", "5"], []),
+    "gof_n10000": (["gof", "--seed", "3", "--n", "10000"], []),
     "gof_percentages": (["gof", "--from-percentages", "{tmp}/percentages.csv"], []),
     "analyze": (["analyze", "--compare-t", "53,116", "--bands", "--alpha", "0.05",
                  "--h-max", "50", "--out-svg", "{tmp}/bands.svg",

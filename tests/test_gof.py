@@ -37,6 +37,30 @@ class TestBinPercentages:
         with pytest.raises(ValueError):
             bin_percentages([1.0], [2.0, 1.0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 10_000), r=st.integers(1, 64), zero_cut=st.booleans(),
+           tie_share=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_sample_binning(self, n, r, zero_cut, tie_share, seed):
+        # samples exactly on a cut, at 0, -0 and infinity included
+        rng = np.random.default_rng(seed)
+        cuts = np.unique(rng.exponential(size=r - 1))
+        if zero_cut:
+            cuts = np.concatenate([[0.0], cuts])
+        samples = rng.exponential(size=n)
+        tied = rng.random(n) < tie_share
+        pool = np.concatenate([cuts, [0.0, -0.0, np.inf]])
+        samples[tied] = rng.choice(pool, size=int(tied.sum()))
+        counts = np.bincount(np.searchsorted(cuts, samples, side="right"),
+                             minlength=cuts.size + 1)
+        expected = 100.0 * counts / n
+        got = bin_percentages(samples, cuts)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    def test_sample_on_a_cut_opens_its_bin(self):
+        assert bin_percentages([0.0, -0.0, 1.0, 2.0, 2.0], [0.0, 1.0, 2.0]).tolist() == [
+            0.0, 40.0, 20.0, 40.0]
+
 
 class TestChiSquareStat:
     def test_reference_row_t25(self):

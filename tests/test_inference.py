@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quakewait.inference import (_POISSON_MEAN_MAX, confidence_bands, estimate_slope,
-                                 estimate_slope_with_ci, path_log_likelihood,
+from quakewait.inference import (_POISSON_MEAN_MAX, _slope_draws, confidence_bands,
+                                 estimate_slope, estimate_slope_with_ci, path_log_likelihood,
                                  random_cdf, slope_ci, verify_clt,
                                  verify_glivenko_cantelli,
                                  verify_kolmogorov_limit, write_bands_csv)
 from quakewait.intensity import IntensityModel
 from quakewait.limitlaw import sup_distance_exp
 from quakewait.nhpp import EventTimes, simulate_path
-from quakewait.rng import substream
+from quakewait.rng import substream, substreams
 from quakewait.statfn import (folded_normal_cdf, ks_test, normal_cdf,
                               normal_quantile)
 
@@ -322,6 +322,17 @@ def reference_slope_draws(m, tau, reps, seed, offset):
     replicate ``offset`` reads substream(seed, offset + i)."""
     counts = [substream(seed, offset + i).poisson(m * tau) for i in range(reps)]
     return np.array(counts, dtype=float) / tau
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.floats(1e-3, 1e3), seed=st.integers(0, 2**64 - 1),
+       windows=st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=300))
+def test_slope_draws_equal_the_per_generator_loop(m, seed, windows):
+    windows = np.array(windows)
+    counts = [g.poisson(m * w) for g, w in zip(substreams(seed, len(windows)), windows)]
+    expected = np.array(counts, dtype=float) / windows
+    got = _slope_draws(m, windows, seed)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 class TestVerifierDraws:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quakewait import rng
-from quakewait.rng import _child_states, _fixed_state_type, substream, substreams
+from quakewait.rng import _child_states, _feeder_type, substream, substreams
 
 
 @pytest.mark.parametrize("seed, n", [(0, 5), (7, 7), (123, 510)])
@@ -56,11 +56,53 @@ def test_substreams_run_is_prefix_of_longer_run(seed, n):
 @pytest.mark.parametrize("n_words, dtype", [
     (4, np.uint32), (2, np.uint64), (8, np.uint64), (8, np.uint32), (4, np.float64)])
 def test_fixed_state_refuses_other_requests(n_words, dtype):
-    fixed = _fixed_state_type()(_child_states(0, 1)[0])
+    feeder = _feeder_type()(_child_states(0, 1))
     with pytest.raises(RuntimeError, match="expected a request"):
-        fixed.generate_state(n_words, dtype)
+        feeder.generate_state(n_words, dtype)
     with pytest.raises(RuntimeError, match="expected a request"):
-        fixed.generate_state(4)  # SeedSequence's default dtype is uint32
+        feeder.generate_state(4)  # SeedSequence's default dtype is uint32
+    # a refused request hands out no row
+    assert np.array_equal(feeder.generate_state(4, np.uint64), _child_states(0, 1)[0])
+
+
+@given(seed=seeds, n=st.integers(0, 40), taken=st.integers(0, 41))
+@settings(max_examples=50, deadline=None)
+def test_feeder_hands_out_each_row_once_in_order(seed, n, taken):
+    states = _child_states(seed, n)
+    feeder = _feeder_type()(states)
+    for row in states[:taken]:
+        assert np.array_equal(feeder.generate_state(4, np.dtype("uint64")), row)
+    if taken < n:
+        with pytest.raises(RuntimeError, match="left unconsumed"):
+            feeder.close()
+    else:
+        with pytest.raises(RuntimeError, match="every state row"):
+            feeder.generate_state(4, np.uint64)
+        feeder.close()
+
+
+def test_generators_of_one_call_share_one_feeder():
+    gens = substreams(5, 3)
+    feeder = gens[0].bit_generator.seed_seq
+    assert all(g.bit_generator.seed_seq is feeder for g in gens)
+    assert not isinstance(feeder, np.random.bit_generator.ISpawnableSeedSequence)
+    with pytest.raises(TypeError):
+        gens[0].spawn(1)
+
+
+def test_substreams_raise_if_pcg64_skips_a_row(monkeypatch):
+    # a PCG64 that seeded itself without asking its seed source would
+    # leave the last row unconsumed
+    real = np.random.PCG64
+    built = []
+
+    def pcg64(seed_seq):
+        built.append(seed_seq)
+        return real(0) if len(built) == 2 else real(seed_seq)
+
+    monkeypatch.setattr(rng.np.random, "PCG64", pcg64)
+    with pytest.raises(RuntimeError, match="left unconsumed"):
+        substreams(0, 3)
 
 
 def test_substreams_bounds(monkeypatch):

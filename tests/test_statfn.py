@@ -3,12 +3,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate, special, stats
 
 from quakewait import statfn
-from quakewait.statfn import (ConvergenceError, chi2_sf, kolmogorov_sf, ks_test,
-                              normal_cdf, normal_quantile, reg_lower_incomplete_gamma,
-                              reg_upper_incomplete_gamma)
+from quakewait.statfn import (ConvergenceError, chi2_sf, folded_normal_cdf,
+                              kolmogorov_sf, ks_test, normal_cdf, normal_quantile,
+                              reg_lower_incomplete_gamma, reg_upper_incomplete_gamma)
 
 
 def gamma_cdf_quadrature(s, x):
@@ -190,3 +193,70 @@ class TestKsTest:
     def test_normal_cdf_helper(self):
         assert normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
         assert normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
+
+
+def per_element_phi(x):
+    """The standard normal CDF one element at a time, as plain floats."""
+    x_arr = np.asarray(x, dtype=float)
+    out = [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x_arr.ravel().tolist()]
+    return np.array(out, dtype=float).reshape(x_arr.shape)
+
+
+def same_bits(got, expected):
+    got_arr, exp_arr = np.asarray(got), np.asarray(expected)
+    return (got_arr.dtype == exp_arr.dtype and got_arr.shape == exp_arr.shape
+            and got_arr.tobytes() == exp_arr.tobytes())
+
+
+# every double but NaN, ±inf and the subnormals included, and densely the
+# range where Phi is neither 0 nor 1, where a last-bit change shows
+doubles = st.one_of(st.floats(allow_nan=False, allow_subnormal=True), st.floats(-40, 10))
+double_arrays = hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0),
+                           elements=doubles)
+
+
+class TestNormalCdfBits:
+    """The ufunc form equals the per-element erfc form bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=doubles)
+    def test_scalar(self, x):
+        got = normal_cdf(x)
+        assert type(got) is float
+        assert same_bits(got, per_element_phi(x))
+        assert type(normal_cdf(np.array(x))) is float
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=double_arrays)
+    def test_arrays(self, x):
+        got = normal_cdf(x)
+        if x.ndim == 0:
+            assert type(got) is float
+        assert same_bits(got, per_element_phi(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0),
+                        elements=st.floats(-1e300, 1e300)),
+           sigma=st.floats(1e-3, 1e3))
+    def test_folded(self, x, sigma):
+        ref = np.where(x < 0, 0.0, np.clip(2.0 * per_element_phi(x / sigma) - 1.0, 0.0, 1.0))
+        got = folded_normal_cdf(x, sigma)
+        if x.ndim == 0:
+            assert type(got) is float
+        assert same_bits(got, ref)
+
+    @pytest.mark.parametrize("x", [
+        [], [[]], np.empty((2, 0)), [math.inf, -math.inf], [0.0, -0.0, 5e-324, -5e-324],
+        [-38.4, -38.5, -40.0, 8.3, 8.4]])
+    def test_edges(self, x):
+        assert same_bits(normal_cdf(x), per_element_phi(x))
+        assert same_bits(folded_normal_cdf(x, 1.0), np.where(
+            np.asarray(x) < 0, 0.0, np.clip(2.0 * per_element_phi(x) - 1.0, 0.0, 1.0)))
+
+    def test_dense_draws(self):
+        x = np.random.default_rng(0).normal(scale=4.0, size=(200, 100))
+        assert same_bits(normal_cdf(x), per_element_phi(x))
+
+    def test_infinities_as_scalars(self):
+        assert normal_cdf(math.inf) == 1.0 and normal_cdf(-math.inf) == 0.0
+        assert folded_normal_cdf(math.inf, 2.0) == 1.0
