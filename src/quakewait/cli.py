@@ -78,10 +78,12 @@ def _score_percentage_rows(path) -> tuple[int, list[dict]]:
             if len(row) != len(header):
                 raise ValueError(f"line {reader.line_num}: expected {len(header)} cells, "
                                  f"got {len(row)}")
-            t = float(row[0])
+            try:
+                t, *perc = map(float, row[:r + 1])
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
             if not math.isfinite(t):
                 raise ValueError(f"line {reader.line_num}: t must be finite, got {row[0]!r}")
-            perc = [float(c) for c in row[1:r + 1]]
             stat = gofmod.chi_square_stat(perc)
             out.append(_row(t, perc, stat, chi2_sf(stat, r - 1)))
     return r, out
@@ -242,8 +244,16 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line with exit 2, as the
+    commands report a bad input; the subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message} (see '{self.prog} --help')\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="quakewait")
+    parser = _Parser(prog="quakewait")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="simulate a sample path")

@@ -81,20 +81,16 @@ class IntensityModel:
         return cls((0.0,), (float(rate),), 0.0, float(rate))
 
     @classmethod
-    def piecewise(cls, segments, tail_start=None, tail_rate=None) -> "IntensityModel":
-        """Build from ``[(start, rate), ...]``; tail defaults to the last
-        segment."""
+    def piecewise(cls, segments) -> "IntensityModel":
+        """Build from ``[(start, rate), ...]``; the last segment is the
+        tail."""
         starts, rates = [], []
         for s, r in segments:
             starts.append(s)
             rates.append(r)
         if not starts:
             raise ModelSpecError("at least one segment required")
-        if tail_start is None:
-            tail_start = starts[-1]
-        if tail_rate is None:
-            tail_rate = rates[-1]
-        return cls(starts, rates, tail_start, tail_rate)
+        return cls(starts, rates, starts[-1], rates[-1])
 
     @classmethod
     def tabulated(cls, rate_fn, grid, tail_start, tail_rate) -> "IntensityModel":

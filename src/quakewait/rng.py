@@ -9,16 +9,17 @@ call; it takes no start index, so a run draws all its replicates at once.
 
 ``substreams`` returns the same generators as ``substream``, bit for bit,
 without building a ``SeedSequence`` per replicate.  A ``PCG64`` takes its
-state from ``SeedSequence.generate_state(4, np.uint64)``, and that is a
-fixed hash (numpy's stream-compatibility policy, NEP 19, freezes it) of
-the entropy words: the seed's 32-bit words, zero-padded to the pool size
-of 4 when a spawn key is present, followed by the spawn key.  The hash
-constant it advances does not depend on the data, and children differ
-only in the last word, their spawn index.  So ``_child_states`` hashes
-the seed words once and the spawn indices as one uint32 array, one
-element per child.  One seed feeder per call then hands the rows to the
-``PCG64`` constructors in order, so every generator of a call shares that
-feeder as its (non-spawnable) ``seed_seq``.
+state from ``SeedSequence.generate_state(4, np.uint64)``, a fixed hash
+(numpy's stream-compatibility policy, NEP 19, freezes it) of the entropy
+words: the seed's 32-bit words, zero-padded to the pool size of 4 when a
+spawn key is present, followed by the spawn key.  numpy fills a short pool
+with the hash of 0, which is what the padding gives, so every child's pool
+before its spawn index goes in is ``SeedSequence(master_seed).pool``.
+``_child_states`` takes that pool from numpy and hashes in the spawn
+indices, then hashes out the state words, on uint32 arrays with one column
+per child.  One seed feeder per call then hands the rows to the ``PCG64``
+constructors in order, so every generator of a call shares that feeder as
+its (non-spawnable) ``seed_seq``.
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
 
 
 def as_generator(seed) -> np.random.Generator:
@@ -55,34 +55,26 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _hash_consts(init: int, mult: int):
-    """SeedSequence's running hash constant as (xor, multiply) pairs, one
-    per hash step.  It does not depend on the data."""
-    h = init
-    while True:
-        pre, h = h, h * mult & _MASK32
-        yield pre, h
-
-
-# the hash and mix steps, modulo 2**32 on Python ints and on uint32 arrays
-# alike (the mask is a no-op on the arrays, which wrap by themselves)
-def _hashmix(value, pre, post):
-    value = (value ^ pre) * post & _MASK32
+def _hashmix(value: np.ndarray, init: int, mult: int, first: int) -> np.ndarray:
+    """SeedSequence's hash of the rows of a (k, n) uint32 array, row j at
+    hash step ``first + j``.  The hash constant at step s is
+    ``init * mult**s`` mod 2**32 whatever the data, so one array operation
+    hashes every row."""
+    const = np.array([init * pow(mult, first + j, 2**32) % 2**32
+                      for j in range(len(value) + 1)], dtype=np.uint32)[:, None]
+    value = (value ^ const[:-1]) * const[1:]  # uint32 arrays wrap mod 2**32
     return value ^ (value >> _XSHIFT)
-
-
-def _mix(x, y):
-    out = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return out ^ (out >> _XSHIFT)
 
 
 def _child_states(master_seed: int, n: int) -> np.ndarray:
     """Row i of this C-contiguous (n, 4) uint64 array is
     ``SeedSequence(master_seed, spawn_key=(i,)).generate_state(4, np.uint64)``.
 
-    The seed words' part of ``mix_entropy`` runs once on Python ints; the
-    spawn index's four mixing steps and ``generate_state``'s eight output
-    words run on (4, n) and (8, n) uint32 arrays.  ValueError unless
+    The pool comes from numpy.  ``mix_entropy`` has then taken
+    ``4 * max(4, w)`` hash steps over the seed's w words: the pool fill,
+    the 12 cross-mixes and 4 per word beyond the pool size.  The spawn
+    index's four mixing steps and ``generate_state``'s eight output words
+    run here on (4, n) and (8, n) uint32 arrays.  ValueError unless
     master_seed >= 0 and 0 <= n <= 2**32, so that every spawn index is one
     uint32 word.
     """
@@ -90,31 +82,14 @@ def _child_states(master_seed: int, n: int) -> np.ndarray:
         raise ValueError("master_seed must be nonnegative")
     if not 0 <= n <= 2**32:
         raise ValueError("n must lie in [0, 2**32]")
-    words = [master_seed & _MASK32]
-    while master_seed >> 32:
-        master_seed >>= 32
-        words.append(master_seed & _MASK32)
-    words += [0] * (_POOL_SIZE - len(words))
-
-    consts = _hash_consts(_INIT_A, _MULT_A)
-    pool = [_hashmix(w, *next(consts)) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
-    for w in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(w, *next(consts)))
-
-    def column(pairs):  # (xor, multiply) constants as two (k, 1) arrays
-        return np.array(pairs, dtype=np.uint32).T[:, :, None]
-
-    key = np.arange(n, dtype=np.uint32)
-    pool = _mix(np.array(pool, dtype=np.uint32)[:, None],
-                _hashmix(key, *column([next(consts) for _ in range(_POOL_SIZE)])))
-    out = _hash_consts(_INIT_B, _MULT_B)
+    n_words = -(-master_seed.bit_length() // 32)
+    key = np.broadcast_to(np.arange(n, dtype=np.uint32), (_POOL_SIZE, n))
+    key = _hashmix(key, _INIT_A, _MULT_A, _POOL_SIZE * max(_POOL_SIZE, n_words))
+    pool = (_MIX_MULT_L * np.random.SeedSequence(master_seed).pool[:, None]
+            - _MIX_MULT_R * key)
+    pool ^= pool >> _XSHIFT
     lanes = np.arange(2 * _STATE_WORDS) % _POOL_SIZE
-    state = _hashmix(pool[lanes], *column([next(out) for _ in lanes])).astype(np.uint64)
+    state = _hashmix(pool[lanes], _INIT_B, _MULT_B, 0).astype(np.uint64)
     # uint32 word pairs (low, high) make one uint64, as generate_state does
     return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
 

@@ -193,7 +193,9 @@ def folded_normal_cdf(x, sigma: float):
     if not sigma > 0:
         raise ValueError("sigma must be strictly positive")
     x_arr = np.asarray(x, dtype=float)
-    out = np.clip(2.0 * normal_cdf(x_arr / sigma) - 1.0, 0.0, 1.0)
+    with np.errstate(over="ignore"):  # x / sigma = inf gives Phi = 1
+        z = x_arr / sigma
+    out = np.clip(2.0 * normal_cdf(z) - 1.0, 0.0, 1.0)
     return _float_if_scalar(np.where(x_arr < 0, 0.0, out))
 
 

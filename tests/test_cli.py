@@ -253,6 +253,10 @@ class TestBadInput:
          "--h-max / --h-step gives more than 100000 grid points"),
         (["analyze", "--bands", "--h-step", "5e-324"],
          "--h-max / --h-step gives more than 100000 grid points"),
+        (["gof", "--from-percentages", "{bad_cell}"],
+         "line 2: could not convert string to float: 'abc'"),
+        (["gof", "--from-percentages", "{bad_t}"],
+         "line 3: could not convert string to float: 'abc'"),
     ], ids=["horizon_inf", "horizon_nan", "h_step_zero", "segment_negative",
             "segment_zero", "segment_past_end", "bands_without_segment",
             "bands_without_moderate_event", "major_threshold_nan", "gc_reps_zero",
@@ -262,7 +266,8 @@ class TestBadInput:
             "gof_mt_overflow", "gof_percentages_one_bin", "gof_percentages_short_row",
             "gof_percentages_t_nan_json", "gof_percentages_t_nan_csv",
             "gof_percentages_t_inf_json", "gof_percentages_t_inf_csv", "h_step_inf",
-            "h_step_nan", "h_max_huge", "grid_one_past_limit", "h_step_subnormal"])
+            "h_step_nan", "h_max_huge", "grid_one_past_limit", "h_step_subnormal",
+            "gof_percentages_bad_cell", "gof_percentages_bad_t"])
     def test_exits_2_with_one_line(self, capsys, tmp_path, args, message):
         lone_major = tmp_path / "lone.csv"
         lone_major.write_text("year,magnitude\n1900,9.0\n")
@@ -277,9 +282,14 @@ class TestBadInput:
         nan_t.write_text("t,p1,p2\nnan,50,50\n")
         inf_t = tmp_path / "inf_t.csv"
         inf_t.write_text("t,p1,p2\n1,50,50\n-inf,50,50\n")
+        bad_cell = tmp_path / "bad_cell.csv"
+        bad_cell.write_text("t,p1,p2\n1,50,abc\n")
+        bad_t = tmp_path / "bad_t.csv"
+        bad_t.write_text("t,p1,p2\n1,50,50\nabc,50,50\n")
         svg = tmp_path / "out.svg"
         args = [a.format(lone_major=lone_major, nan_row=nan_row, one_bin=one_bin,
-                         short_row=short_row, nan_t=nan_t, inf_t=inf_t, svg=svg)
+                         short_row=short_row, nan_t=nan_t, inf_t=inf_t,
+                         bad_cell=bad_cell, bad_t=bad_t, svg=svg)
                 for a in args]
         if args[0] == "verify":
             args += ["--seed", "0"]
@@ -295,6 +305,33 @@ class TestBadInput:
         assert all(line.startswith("warning: ") for line in warned)
         assert message in error
         assert not svg.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["gof", "--n", "abc"],
+     "error: argument --n: invalid int value: 'abc' (see 'quakewait gof --help')\n"),
+    (["verify"], "the following arguments are required: kind, --t "
+                 "(see 'quakewait verify --help')"),
+    (["quake"], "argument command: invalid choice: 'quake'"),
+    (["gof", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+], ids=["bad_int", "missing_required", "unknown_subcommand", "bad_choice"])
+def test_usage_error_exits_2_with_one_line(capsys, args, message):
+    """No usage block: one ``error:`` line, as for any other bad input."""
+    with pytest.raises(SystemExit) as exit_:
+        main(args)
+    out = capsys.readouterr()
+    assert (exit_.value.code, out.out) == (2, "")
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert message in out.err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["verify", "--help"]])
+def test_help_prints_usage_and_exits_0(capsys, args):
+    with pytest.raises(SystemExit) as exit_:
+        main(args)
+    out = capsys.readouterr()
+    assert exit_.value.code == 0
+    assert out.out.startswith("usage: quakewait") and out.err == ""
 
 
 @pytest.mark.parametrize("args", [

@@ -58,8 +58,7 @@ class TestCifInverse:
             constant_model.cif_inverse(-1.0)
 
     def test_flat_segment_maps_to_left_endpoint(self):
-        model = IntensityModel.piecewise([(0.0, 1.0), (1.0, 0.0), (2.0, 1.0)],
-                                         tail_start=2.0, tail_rate=1.0)
+        model = IntensityModel.piecewise([(0.0, 1.0), (1.0, 0.0), (2.0, 1.0)])
         # Lambda reaches 1 at t=1 and stays flat until t=2
         assert model.cif_inverse(1.0) == 1.0
         assert model.cif_inverse(1.5) == 2.5
@@ -233,6 +232,7 @@ def test_one_pass_construction_matches_reference(spec):
     assert _built(lambda: IntensityModel(
         tuple(starts), tuple(rates), tail_start, tail_rate)) == expected
     if len(starts) == len(rates):
-        expected = expected if starts else "at least one segment required"
-        assert _built(lambda: IntensityModel.piecewise(
-            list(zip(starts, rates)), tail_start, tail_rate)) == expected
+        # piecewise takes its tail from the last segment
+        expected = (reference_spec(starts, rates, starts[-1], rates[-1]) if starts
+                    else "at least one segment required")
+        assert _built(lambda: IntensityModel.piecewise(list(zip(starts, rates)))) == expected

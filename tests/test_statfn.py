@@ -260,3 +260,9 @@ class TestNormalCdfBits:
     def test_infinities_as_scalars(self):
         assert normal_cdf(math.inf) == 1.0 and normal_cdf(-math.inf) == 0.0
         assert folded_normal_cdf(math.inf, 2.0) == 1.0
+
+    def test_folded_ratio_overflow(self):
+        # x / sigma overflows to inf, where Phi is 1; pytest turns a warning into an error
+        assert folded_normal_cdf(1.8e8, 1e-300) == 1.0
+        got = folded_normal_cdf([1.8e8, -1.8e8, 1e-300, 0.0], 1e-300)
+        assert same_bits(got, [1.0, 0.0, folded_normal_cdf(1.0, 1.0), 0.0])
