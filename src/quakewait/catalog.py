@@ -59,9 +59,7 @@ class CatalogSegment:
     the initiating major shock."""
 
     anchor_year: int
-    anchor_magnitude: float
     relative_times: tuple
-    magnitudes: tuple
     closed: bool
 
 
@@ -87,7 +85,7 @@ def parse_catalog(source) -> list[CatalogEvent]:
             magnitude = float(row[1])
         except ValueError:
             raise CatalogFormatError(line_no, f"non-numeric row {row!r}") from None
-        if magnitude < 0:
+        if not magnitude >= 0:
             raise CatalogFormatError(line_no, "magnitude must be nonnegative")
         if events and year < events[-1].year:
             raise CatalogFormatError(line_no, "years must be nondecreasing")
@@ -113,27 +111,23 @@ def segment_by_major(events, threshold: float = MAJOR_THRESHOLD) -> list[Catalog
     segments: list[CatalogSegment] = []
     anchor = None
     rel: list[int] = []
-    mags: list[float] = []
     dropped = 0
     for ev in events:
         if ev.magnitude >= threshold:
             if anchor is not None:
-                segments.append(CatalogSegment(anchor.year, anchor.magnitude,
-                                               tuple(rel), tuple(mags), True))
+                segments.append(CatalogSegment(anchor.year, tuple(rel), True))
             anchor = ev
-            rel, mags = [], []
+            rel = []
         elif anchor is None:
             dropped += 1
         else:
             rel.append(ev.year - anchor.year)
-            mags.append(ev.magnitude)
     if anchor is None:
         warnings.warn("no event reaches the major threshold; empty result")
         return []
     if dropped:
         warnings.warn(f"{dropped} event(s) before the first major shock discarded")
-    segments.append(CatalogSegment(anchor.year, anchor.magnitude,
-                                   tuple(rel), tuple(mags), False))
+    segments.append(CatalogSegment(anchor.year, tuple(rel), False))
     return segments
 
 

@@ -33,7 +33,30 @@ def _sig12(x: float) -> float:
 
 def _resolve_seed(seed):
     """Explicit seed, or a fresh one recorded in the output metadata."""
-    return int(seed) if seed is not None else secrets.randbits(32)
+    return seed if seed is not None else secrets.randbits(32)
+
+
+def _seed_arg(text: str) -> int:
+    """``--seed``: a nonnegative integer, checked while parsing so that
+    the error names the flag."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return seed
+
+
+def _list_arg(convert, what: str):
+    """Type for a comma-separated flag: a list of ``convert`` values."""
+    def parse(text: str) -> list:
+        try:
+            return [convert(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}") from None
+    return parse
 
 
 def _load_model(spec: str) -> IntensityModel:
@@ -94,8 +117,7 @@ def _cmd_gof(args) -> int:
         r, rows = _score_percentage_rows(args.from_percentages)
     else:
         seed = _resolve_seed(args.seed)
-        t_values = [float(t) for t in args.t.split(",")]
-        reports = gofmod.table1_experiment(args.m, args.k, t_values, args.n,
+        reports = gofmod.table1_experiment(args.m, args.k, args.t, args.n,
                                            seed, r=args.r)
         r = args.r
         rows = [{"seed": seed, **_row(rep.t, rep.percentages, rep.chi2, rep.p_value)}
@@ -178,7 +200,7 @@ def _cmd_analyze(args) -> int:
         seg = segments[args.segment - 1]
         comparisons = []
         notes = {n.t: n for n in cat.reproducibility_report(seg)}
-        for t in (int(v) for v in args.compare_t.split(",")):
+        for t in args.compare_t:
             rows = [{"h": r.h, "empirical": _sig12(r.empirical),
                      "estimated": _sig12(r.estimated),
                      "abs_diff": _sig12(r.abs_diff)}
@@ -228,15 +250,17 @@ def _cmd_analyze(args) -> int:
 def _cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
     if args.kind == "gc":
-        taus = [float(v) for v in args.t.split(",")]
-        check = inference.verify_glivenko_cantelli(args.m, taus, args.reps, seed)
+        check = inference.verify_glivenko_cantelli(args.m, args.t, args.reps, seed)
         result = {"kind": "gc", "seed": seed,
                   "taus": [_sig12(t) for t in check.taus],
                   "medians": [_sig12(m) for m in check.medians]}
     else:
+        if len(args.t) != 1:
+            raise ValueError(f"--t takes one window length for {args.kind}, "
+                             f"got {len(args.t)}")
         verify = (inference.verify_clt if args.kind == "clt"
                   else inference.verify_kolmogorov_limit)
-        check = verify(args.m, float(args.t), args.reps, seed)
+        check = verify(args.m, args.t[0], args.reps, seed)
         result = {"kind": args.kind, "seed": seed,
                   "statistic": _sig12(check.ks.statistic),
                   "p_value": _sig12(check.ks.p_value)}
@@ -260,18 +284,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--model", required=True,
                      help="model spec file, or inline JSON")
     sim.add_argument("--horizon", type=float, required=True)
-    sim.add_argument("--seed", type=int)
+    sim.add_argument("--seed", type=_seed_arg)
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=_cmd_simulate)
 
     gof = sub.add_parser("gof", help="goodness-of-fit experiment")
     gof.add_argument("--m", type=float, default=1.0)
     gof.add_argument("--k", type=int, default=10)
-    gof.add_argument("--t", default="10,20,25,30,40,50",
+    gof.add_argument("--t", type=_list_arg(float, "numbers"), default="10,20,25,30,40,50",
                      help="comma-separated elapsed times")
     gof.add_argument("--n", type=int, default=1000)
     gof.add_argument("--r", type=int, default=10)
-    gof.add_argument("--seed", type=int)
+    gof.add_argument("--seed", type=_seed_arg)
     gof.add_argument("--from-percentages",
                      help="score a 't,p1,...,p<r>' CSV, as --format csv writes")
     gof.add_argument("--format", choices=("json", "csv"), default="json")
@@ -280,7 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="catalog recurrence analysis")
     ana.add_argument("--catalog", help="year,magnitude CSV (default: embedded)")
     ana.add_argument("--major-threshold", type=float, default=cat.MAJOR_THRESHOLD)
-    ana.add_argument("--compare-t", help="comma-separated elapsed times")
+    ana.add_argument("--compare-t", type=_list_arg(int, "integers"),
+                     help="comma-separated elapsed times")
     ana.add_argument("--segment", type=int, default=2,
                      help="1-based segment for --compare-t")
     ana.add_argument("--bands", action="store_true")
@@ -295,10 +320,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="Monte Carlo asymptotics checks")
     ver.add_argument("kind", choices=("clt", "gc", "kolmogorov"))
     ver.add_argument("--m", type=float, default=1.0)
-    ver.add_argument("--t", required=True,
+    ver.add_argument("--t", type=_list_arg(float, "numbers"), required=True,
                      help="window length (comma-separated list for gc)")
     ver.add_argument("--reps", type=int, default=2000)
-    ver.add_argument("--seed", type=int)
+    ver.add_argument("--seed", type=_seed_arg)
     ver.set_defaults(func=_cmd_verify)
 
     return parser

@@ -142,9 +142,10 @@ def confidence_bands(ci, grid) -> BandCurve:
     """Exponential band curves from a rate interval: the smaller rate gives
     the lower band, the larger the upper, since 1 - exp(-m h) increases
     in m."""
-    low, high = float(min(ci)), float(max(ci))
-    if low < 0:
+    rates = [float(c) for c in ci]
+    if not all(c >= 0 for c in rates):
         raise ValueError("rates must be nonnegative")
+    low, high = min(rates), max(rates)
     grid_arr = np.asarray(grid, dtype=float)
     if grid_arr.size == 0:
         raise ValueError("grid must be nonempty")

@@ -172,7 +172,6 @@ class IntensityModel:
         idx = np.maximum(np.searchsorted(cum, y_arr, side="left") - 1, 0)
         rate = rates[idx]
         safe = np.where(rate > 0, rate, 1.0)
-        out = np.where(y_arr > cum[idx],
-                       starts[idx] + (y_arr - cum[idx]) / safe,
-                       starts[idx])
-        return _float_if_scalar(np.where(y_arr == 0.0, 0.0, out))
+        return _float_if_scalar(np.where(y_arr > cum[idx],
+                                         starts[idx] + (y_arr - cum[idx]) / safe,
+                                         starts[idx]))

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import as_generator
 from .statfn import ConvergenceError, _float_if_scalar, _nonneg
 
 _U_TOL = 1e-12
@@ -117,7 +116,7 @@ def sample_conditional(law: WaitingLaw, n: int, seed) -> np.ndarray:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return np.empty(0)
-    u = as_generator(seed).random(int(n))
+    u = np.random.default_rng(seed).random(int(n))
     log_surv = np.log1p(-u)
     h = log_surv / -law.m
     excess = law.m * law.t - (law.k - 1)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intensity import IntensityModel
-from .rng import as_generator
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,12 +26,15 @@ class EventTimes:
         times = np.asarray(self.times, dtype=float)
         if times.ndim != 1:
             raise ValueError("times must be one-dimensional")
+        # each check is written so that a NaN fails it
+        if not self.horizon >= 0:
+            raise ValueError("horizon must be nonnegative")
         if times.size:
-            if times[0] <= 0:
+            if not times[0] > 0:
                 raise ValueError("event times must be strictly positive")
-            if np.any(np.diff(times) <= 0):
+            if not np.all(np.diff(times) > 0):
                 raise ValueError("event times must be strictly increasing")
-            if times[-1] > self.horizon:
+            if not times[-1] <= self.horizon:
                 raise ValueError("event times must not exceed the horizon")
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -54,7 +56,7 @@ def simulate_path(model: IntensityModel, horizon: float, seed) -> EventTimes:
     """Simulate one path on [0, horizon]; deterministic given the seed."""
     if not 0 <= horizon < math.inf:
         raise ValueError("horizon must be finite and nonnegative")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     total = model.cif(horizon)
     epochs = []
     acc = 0.0
@@ -100,7 +102,7 @@ def sample_jump_times(model: IntensityModel, k: int, n: int, seed) -> np.ndarray
         raise ValueError("k must be a positive integer")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     return np.asarray(model.cif_inverse(rng.gamma(k, size=int(n))), dtype=float)
 
 
@@ -128,12 +130,12 @@ def write_events_csv(events: EventTimes, fp) -> None:
     _write_csv(fp, "time\n", "%.12g\n", events.times)
 
 
-def read_events_csv(fp, horizon=None) -> EventTimes:
-    """Read a path written by :func:`write_events_csv`."""
+def read_events_csv(fp, horizon: float) -> EventTimes:
+    """Read a path written by :func:`write_events_csv`; ``horizon`` is the
+    end of the observation window, which the file does not hold.  The last
+    event time would understate it, and a slope over it would read high."""
     header = fp.readline().strip()
     if header != "time":
         raise ValueError("expected header 'time'")
     times = np.array([float(line) for line in fp if line.strip()], dtype=float)
-    if horizon is None:
-        horizon = times[-1] if times.size else 0.0
     return EventTimes(times, horizon)

@@ -1,4 +1,5 @@
-"""Seedable random number streams with a fixed substream-derivation rule.
+"""The Monte Carlo replicate rule: seedable streams, one per replicate.
+Single-stream samplers hand their seed to ``np.random.default_rng``.
 
 Replicate ``i`` of any Monte Carlo run draws from the child generator
 ``substream(master_seed, i)``, where the child seed sequence is
@@ -38,15 +39,6 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
-
-
-def as_generator(seed) -> np.random.Generator:
-    """Coerce an int, SeedSequence or Generator into a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
 
 
 def substream(master_seed: int, index: int) -> np.random.Generator:

@@ -28,6 +28,11 @@ class TestParseCatalog:
             parse_catalog("year,magnitude\n1900,7.5\nnineteen,7\n")
         assert exc.value.line_no == 3
 
+    def test_nan_magnitude(self):
+        with pytest.raises(CatalogFormatError, match="magnitude must be nonnegative") as exc:
+            parse_catalog("year,magnitude\n1900,9\n1910,nan\n1920,7")
+        assert exc.value.line_no == 3
+
     def test_out_of_order_years(self):
         with pytest.raises(CatalogFormatError):
             parse_catalog("year,magnitude\n1950,7.0\n1900,7.5\n")

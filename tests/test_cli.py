@@ -257,6 +257,10 @@ class TestBadInput:
          "line 2: could not convert string to float: 'abc'"),
         (["gof", "--from-percentages", "{bad_t}"],
          "line 3: could not convert string to float: 'abc'"),
+        (["analyze", "--catalog", "{nan_mag}"], "line 3: magnitude must be nonnegative"),
+        (["verify", "clt", "--t", "100,200"], "--t takes one window length for clt, got 2"),
+        (["verify", "kolmogorov", "--t", "100,200"],
+         "--t takes one window length for kolmogorov, got 2"),
     ], ids=["horizon_inf", "horizon_nan", "h_step_zero", "segment_negative",
             "segment_zero", "segment_past_end", "bands_without_segment",
             "bands_without_moderate_event", "major_threshold_nan", "gc_reps_zero",
@@ -267,7 +271,8 @@ class TestBadInput:
             "gof_percentages_t_nan_json", "gof_percentages_t_nan_csv",
             "gof_percentages_t_inf_json", "gof_percentages_t_inf_csv", "h_step_inf",
             "h_step_nan", "h_max_huge", "grid_one_past_limit", "h_step_subnormal",
-            "gof_percentages_bad_cell", "gof_percentages_bad_t"])
+            "gof_percentages_bad_cell", "gof_percentages_bad_t", "catalog_nan_magnitude",
+            "clt_t_list", "kolmogorov_t_list"])
     def test_exits_2_with_one_line(self, capsys, tmp_path, args, message):
         lone_major = tmp_path / "lone.csv"
         lone_major.write_text("year,magnitude\n1900,9.0\n")
@@ -286,10 +291,12 @@ class TestBadInput:
         bad_cell.write_text("t,p1,p2\n1,50,abc\n")
         bad_t = tmp_path / "bad_t.csv"
         bad_t.write_text("t,p1,p2\n1,50,50\nabc,50,50\n")
+        nan_mag = tmp_path / "nan_mag.csv"
+        nan_mag.write_text("year,magnitude\n1900,9\n1910,nan\n1920,7")
         svg = tmp_path / "out.svg"
         args = [a.format(lone_major=lone_major, nan_row=nan_row, one_bin=one_bin,
                          short_row=short_row, nan_t=nan_t, inf_t=inf_t,
-                         bad_cell=bad_cell, bad_t=bad_t, svg=svg)
+                         bad_cell=bad_cell, bad_t=bad_t, nan_mag=nan_mag, svg=svg)
                 for a in args]
         if args[0] == "verify":
             args += ["--seed", "0"]
@@ -314,7 +321,20 @@ class TestBadInput:
                  "(see 'quakewait verify --help')"),
     (["quake"], "argument command: invalid choice: 'quake'"),
     (["gof", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
-], ids=["bad_int", "missing_required", "unknown_subcommand", "bad_choice"])
+    (["simulate", "--model", CONSTANT_MODEL, "--horizon", "1", "--seed", "-5", "--out", "x"],
+     "argument --seed: expected a nonnegative integer, got '-5'"),
+    (["gof", "--seed", "-5"], "argument --seed: expected a nonnegative integer, got '-5'"),
+    (["verify", "clt", "--t", "100", "--seed", "-5"],
+     "argument --seed: expected a nonnegative integer, got '-5'"),
+    (["gof", "--t", ""], "argument --t: expected comma-separated numbers, got ''"),
+    (["gof", "--t", "10,,20"], "argument --t: expected comma-separated numbers, got '10,,20'"),
+    (["analyze", "--compare-t", "abc"],
+     "argument --compare-t: expected comma-separated integers, got 'abc'"),
+    (["verify", "gc", "--t", "100,abc"],
+     "argument --t: expected comma-separated numbers, got '100,abc'"),
+], ids=["bad_int", "missing_required", "unknown_subcommand", "bad_choice",
+        "simulate_seed_negative", "gof_seed_negative", "verify_seed_negative",
+        "gof_t_empty", "gof_t_empty_item", "compare_t_not_int", "gc_t_not_float"])
 def test_usage_error_exits_2_with_one_line(capsys, args, message):
     """No usage block: one ``error:`` line, as for any other bad input."""
     with pytest.raises(SystemExit) as exit_:

@@ -12,9 +12,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from quakewait.catalog import EmpiricalCdf, segment_by_major
 from quakewait.gof import bin_percentages, chi_square_stat, gof_pvalue
 from quakewait.intensity import IntensityModel
-from quakewait.inference import (estimate_slope, path_log_likelihood, random_cdf,
-                                 slope_ci, verify_clt, verify_glivenko_cantelli,
-                                 verify_kolmogorov_limit)
+from quakewait.inference import (confidence_bands, estimate_slope, path_log_likelihood,
+                                 random_cdf, slope_ci, verify_clt,
+                                 verify_glivenko_cantelli, verify_kolmogorov_limit)
 from quakewait.limitlaw import (WaitingLaw, breakpoints, conditional_cdf, limit_cdf,
                                 sup_distance_exp)
 from quakewait.nhpp import EventTimes
@@ -115,6 +115,8 @@ def test_negative_or_nan_raises(name, bad, arr):
     lambda: kolmogorov_sf(math.nan),
     lambda: ks_test([math.nan, 0.5, 0.2], lambda x: x),
     lambda: ks_test([0.1, 0.5, 0.2], lambda x: np.where(x > 0.3, math.nan, x)),
+    lambda: confidence_bands((1.0, math.nan), [0.0, 1.0]),
+    lambda: confidence_bands((math.nan, 1.0), [0.0, 1.0]),
 ], ids=["limit_cdf_m", "random_cdf_m", "waiting_law_t", "waiting_law_m",
         "breakpoints_m", "sup_distance_a", "sup_distance_b", "slope_ci_m_hat",
         "slope_ci_tau_star", "slope_ci_tau", "model_tail_start", "model_tail_rate",
@@ -123,7 +125,8 @@ def test_negative_or_nan_raises(name, bad, arr):
         "bin_sample", "bin_cut", "chi_square_stat", "gof_pvalue", "chi2_sf",
         "lower_gamma_s", "upper_gamma_x", "estimate_slope_tau_star",
         "estimate_slope_tau", "log_likelihood_t", "folded_normal_sigma",
-        "kolmogorov_sf", "ks_test_sample", "ks_test_cdf"])
+        "kolmogorov_sf", "ks_test_sample", "ks_test_cdf", "bands_high_nan",
+        "bands_low_nan"])
 def test_nan_parameter_is_rejected(call):
     # our own message, not one numpy raises further in
     with pytest.raises(ValueError, match="must"):

@@ -267,6 +267,12 @@ class TestConfidenceBands:
             for h, lo, hi in zip(band.grid, band.lower, band.upper))
         assert buf.getvalue() == expected
 
+    @pytest.mark.parametrize("ci", [(1.0, math.nan), (math.nan, 1.0)],
+                             ids=["high_nan", "low_nan"])
+    def test_bad_rate_is_rejected_in_either_place(self, ci):
+        with pytest.raises(ValueError, match="rates must be nonnegative"):
+            confidence_bands(ci, [0.0, 1.0])
+
 
 class TestVerifiers:
     def test_clt_passes_at_long_window(self):

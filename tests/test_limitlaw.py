@@ -48,6 +48,14 @@ class TestWaitingLaw:
         with pytest.raises(ValidityError):
             WaitingLaw(1.0, 1, 0.0)
 
+    def test_k1_at_zero_elapsed_time(self):
+        # for k = 1 the law is the limit law itself, t = 0 included
+        law = WaitingLaw(0.0, 1, 0.7)
+        h = np.array([0.0, 0.5, 3.0, 40.0])
+        assert np.array_equal(conditional_cdf(law, h), limit_cdf(0.7, h))
+        u = np.random.default_rng(4).random(200)
+        assert np.array_equal(sample_conditional(law, 200, 4), -np.log1p(-u) / 0.7)
+
     @pytest.mark.parametrize("t, m, message", [
         (math.inf, 2.0, "t must be finite"),
         (1.0, math.inf, "m must be finite"),
@@ -172,6 +180,14 @@ class TestSampleConditional:
         assert np.all(samples >= 0.0)
         assert np.max(np.abs(conditional_cdf(law, samples) - u)) <= 1e-12
 
+    @pytest.mark.parametrize("m", [3.0, 0.7])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_k1_is_the_exponential_quantile_exactly(self, m, seed):
+        # the Newton start is the exact answer for k = 1, so no step moves it
+        u = np.random.default_rng(seed).random(500)
+        samples = sample_conditional(WaitingLaw(10.0, 1, m), 500, seed)
+        assert np.array_equal(samples, -np.log1p(-u) / m)
+
     def test_zero_uniform_on_the_boundary(self):
         # at m t = k - 1 the Newton slope vanishes at h = 0, where u = 0 lands
         class ZeroFirst(np.random.Generator):
@@ -194,6 +210,10 @@ class TestSampleConditional:
 class TestBreakpoints:
     def test_decile_values(self):
         assert np.allclose(breakpoints(1.0, 10), DECILE_CUTS, atol=1e-7)
+
+    def test_zero_rate_raises(self):
+        with pytest.raises(ValueError, match="m must be strictly positive"):
+            breakpoints(0.0, 10)
 
     def test_exponential_median(self):
         assert breakpoints(2.0, 2)[0] == pytest.approx(math.log(2) / 2, rel=1e-12)

@@ -23,6 +23,20 @@ class TestEventTimes:
         with pytest.raises(ValueError):
             EventTimes(np.array([1.0, 3.0]), 2.0)
 
+    @pytest.mark.parametrize("times, horizon, message", [
+        ((0.5, math.nan, 3.0), 10.0, "strictly increasing"),
+        ((math.nan, 1.0, 3.0), 10.0, "strictly positive"),
+        ((0.5, 1.0, math.nan), 10.0, "strictly increasing"),
+        ((math.nan,), 10.0, "strictly positive"),
+        ((0.5, 1.0), math.nan, "horizon must be nonnegative"),
+        ((), math.nan, "horizon must be nonnegative"),
+        ((), -1.0, "horizon must be nonnegative"),
+    ], ids=["nan_inside", "nan_first", "nan_last", "nan_only", "nan_horizon",
+            "nan_horizon_empty", "negative_horizon"])
+    def test_nan_or_negative_is_rejected(self, times, horizon, message):
+        with pytest.raises(ValueError, match=message):
+            EventTimes(times, horizon)
+
     def test_counts(self):
         ev = EventTimes(np.array([1.0, 2.0, 3.0]), 5.0)
         assert ev.count_at(2.0) == 2
@@ -119,6 +133,10 @@ class TestCsv:
         buf.seek(0)
         back = read_events_csv(buf, horizon=20.0)
         assert np.allclose(back.times, ev.times, rtol=1e-11)
+
+    def test_nan_row_is_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            read_events_csv(io.StringIO("time\n0.5\nnan\n3\n"), 10.0)
 
     def test_header(self):
         buf = io.StringIO()
