@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,8 +86,8 @@ def parse_catalog(source) -> list[CatalogEvent]:
             magnitude = float(row[1])
         except ValueError:
             raise CatalogFormatError(line_no, f"non-numeric row {row!r}") from None
-        if not magnitude >= 0:
-            raise CatalogFormatError(line_no, "magnitude must be nonnegative")
+        if not 0 <= magnitude < math.inf:
+            raise CatalogFormatError(line_no, "magnitude must be nonnegative and finite")
         if events and year < events[-1].year:
             raise CatalogFormatError(line_no, "years must be nondecreasing")
         events.append(CatalogEvent(year, magnitude))

@@ -250,6 +250,12 @@ def _cmd_analyze(args) -> int:
 def _cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
     if args.kind == "gc":
+        # the library's rules for the window lengths, worded for the flag
+        if len(args.t) < 2:
+            raise ValueError("--t takes at least two window lengths for gc, "
+                             f"got {len(args.t)}")
+        if not all(0 < a < b for a, b in zip(args.t, args.t[1:])):
+            raise ValueError("--t takes strictly positive, increasing window lengths for gc")
         check = inference.verify_glivenko_cantelli(args.m, args.t, args.reps, seed)
         result = {"kind": "gc", "seed": seed,
                   "taus": [_sig12(t) for t in check.taus],

@@ -25,13 +25,11 @@ _POISSON_MEAN_MAX = np.iinfo("l").max - 10 * math.sqrt(np.iinfo("l").max)
 
 @dataclass(frozen=True)
 class SlopeEstimate:
-    """Estimated asymptotic slope over the window (tau_star, tau]."""
+    """Slope estimate ``m_hat`` from the event ``count`` in a window, and
+    its confidence interval ``ci_low`` to ``ci_high`` when one is asked for."""
 
     m_hat: float
-    tau_star: float
-    tau: float
     count: int
-    alpha: float | None = None
     ci_low: float | None = None
     ci_high: float | None = None
 
@@ -75,7 +73,7 @@ def estimate_slope(events: EventTimes, tau_star: float, tau: float) -> SlopeEsti
     if not tau <= events.horizon:
         raise ValueError("tau must not exceed the observation horizon")
     count = events.count_in(tau_star, tau)
-    return SlopeEstimate(count / (tau - tau_star), tau_star, tau, count)
+    return SlopeEstimate(count / (tau - tau_star), count)
 
 
 def path_log_likelihood(events: EventTimes, model: IntensityModel, t: float) -> float:
@@ -91,6 +89,8 @@ def path_log_likelihood(events: EventTimes, model: IntensityModel, t: float) -> 
     m = model.tail_rate
     if not t > tau_star:
         raise ValueError("t must exceed the model's tail_start")
+    if t == math.inf:
+        raise ValueError("t must be finite")
     times = events.times
     n = len(events)
     if n and times[-1] > t:
@@ -115,8 +115,8 @@ def slope_ci(m_hat: float, tau_star: float, tau: float, alpha: float):
     """Confidence interval for the slope: the two roots in m of
     t (m_hat - m)^2 = x^2 m, with t = tau - tau_star and x the two-sided
     normal quantile for level alpha."""
-    if not m_hat >= 0:
-        raise ValueError("m_hat must be nonnegative")
+    if not 0 <= m_hat < math.inf:
+        raise ValueError("m_hat must be nonnegative and finite")
     if not tau > tau_star:
         raise ValueError("tau must exceed tau_star")
     if not 0.0 < alpha < 1.0:
@@ -135,7 +135,7 @@ def estimate_slope_with_ci(events: EventTimes, tau_star: float, tau: float,
     """Slope estimate plus its confidence interval."""
     base = estimate_slope(events, tau_star, tau)
     low, high = slope_ci(base.m_hat, tau_star, tau, alpha)
-    return SlopeEstimate(base.m_hat, tau_star, tau, base.count, alpha, low, high)
+    return SlopeEstimate(base.m_hat, base.count, low, high)
 
 
 def confidence_bands(ci, grid) -> BandCurve:

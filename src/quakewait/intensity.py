@@ -163,15 +163,12 @@ class IntensityModel:
         scalars or arrays.
         """
         y_arr = _nonneg(y, "cumulative intensity")
-        starts = np.asarray(self.starts)
-        rates = np.asarray(self.rates)
         cum = np.asarray(self._cum)
-        # segment in which Lambda first reaches y; its rate is strictly
-        # positive whenever y > 0 because cum is constant across zero-rate
-        # segments and the tail rate is positive
+        # segment in which Lambda first reaches y, with cum < y if y > 0;
+        # its rate is then strictly positive, because cum is constant
+        # across zero-rate segments and the tail rate is positive
         idx = np.maximum(np.searchsorted(cum, y_arr, side="left") - 1, 0)
-        rate = rates[idx]
+        rate = np.asarray(self.rates)[idx]
+        # y = 0 with a zero first rate: 0 / 1 gives starts[0], not 0 / 0
         safe = np.where(rate > 0, rate, 1.0)
-        return _float_if_scalar(np.where(y_arr > cum[idx],
-                                         starts[idx] + (y_arr - cum[idx]) / safe,
-                                         starts[idx]))
+        return _float_if_scalar(np.asarray(self.starts)[idx] + (y_arr - cum[idx]) / safe)

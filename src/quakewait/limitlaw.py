@@ -56,10 +56,14 @@ class WaitingLaw:
 
 def random_cdf(m_hat: float, h):
     """Exponential CDF 1 - exp(-m_hat h) at an estimated rate m_hat >= 0;
-    identically zero when no events have been observed (m_hat = 0)."""
+    identically zero when no events have been observed (m_hat = 0), and
+    zero at h = 0 for every rate, an infinite one included."""
     if not m_hat >= 0:
         raise ValueError("m_hat must be nonnegative")
-    return _float_if_scalar(-np.expm1(-m_hat * _nonneg(h, "h")))
+    with np.errstate(over="ignore", invalid="ignore"):  # m h = inf gives 1
+        mh = m_hat * _nonneg(h, "h")
+    # 0 inf: h = 0 at an infinite rate, or h = inf at rate 0
+    return _float_if_scalar(-np.expm1(-np.where(np.isnan(mh), 0.0, mh)))
 
 
 def limit_cdf(m: float, h):
@@ -86,17 +90,15 @@ def _log_survival(law: WaitingLaw, h):
 def conditional_cdf(law: WaitingLaw, h):
     """Conditional CDF: 1 - (1 + h/t)^{k-1} exp(-m h).
 
-    It is 1 where x = h/t overflows to inf (h = inf included), where the
-    log-survival would be inf - inf: for k >= 2 it lies below -(k-1) x,
-    so G is exactly 1 there.  For k = 1 it is -m h and t may be 0, so
-    only h = inf is masked.  Where the log-survival itself overflows to
-    -inf, G is exactly 1 too.
+    It is 1 where the log-survival is NaN.  With h not NaN and m t finite,
+    that is only where x = h/t overflows to inf for k >= 2 (h = inf
+    included), and the log-survival lies below -(k-1) x, so G is 1 there.
     """
     h = _nonneg(h, "h")
-    with np.errstate(over="ignore"):
-        over = np.isinf(h) if law.k == 1 else np.isinf(h / law.t)
-        g = _log_survival(law, np.where(over, 0.0, h))
-    return _float_if_scalar(np.where(over, 1.0, -np.expm1(g)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _log_survival(law, h)
+    # inf - inf or 0 inf where h / t overflows, for k >= 2
+    return _float_if_scalar(np.where(np.isnan(g), 1.0, -np.expm1(g)))
 
 
 def sample_conditional(law: WaitingLaw, n: int, seed) -> np.ndarray:
@@ -114,8 +116,6 @@ def sample_conditional(law: WaitingLaw, n: int, seed) -> np.ndarray:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return np.empty(0)
     u = np.random.default_rng(seed).random(int(n))
     log_surv = np.log1p(-u)
     h = log_surv / -law.m
@@ -125,7 +125,7 @@ def sample_conditional(law: WaitingLaw, n: int, seed) -> np.ndarray:
     tiny = np.finfo(float).tiny
     for _ in range(_MAX_ITER):
         g = _log_survival(law, h)
-        if np.max(np.abs(-np.expm1(g) - u)) <= _U_TOL:
+        if (np.abs(-np.expm1(g) - u) <= _U_TOL).all():
             return h
         # h - f/f'
         h += (g - log_surv) * (law.t + h) / np.maximum(excess + law.m * h, tiny)
@@ -135,8 +135,8 @@ def sample_conditional(law: WaitingLaw, n: int, seed) -> np.ndarray:
 
 def breakpoints(m: float, r: int) -> np.ndarray:
     """Cut points h_1 < ... < h_{r-1} with limit_cdf(m, h_i) = i/r."""
-    if not m > 0:
-        raise ValueError("m must be strictly positive")
+    if not 0 < m < np.inf:
+        raise ValueError("m must be finite and strictly positive")
     if r < 2 or int(r) != r:
         raise ValueError("r must be an integer >= 2")
     i = np.arange(1, int(r))

@@ -17,7 +17,7 @@ from .intensity import IntensityModel
 @dataclass(frozen=True, eq=False)
 class EventTimes:
     """A realized path: strictly increasing occurrence times on
-    (0, horizon]."""
+    (0, horizon], with a finite horizon."""
 
     times: np.ndarray
     horizon: float
@@ -26,9 +26,10 @@ class EventTimes:
         times = np.asarray(self.times, dtype=float)
         if times.ndim != 1:
             raise ValueError("times must be one-dimensional")
-        # each check is written so that a NaN fails it
-        if not self.horizon >= 0:
-            raise ValueError("horizon must be nonnegative")
+        # each check is written so that a NaN fails it; a finite horizon
+        # bounds every event time
+        if not 0 <= self.horizon < math.inf:
+            raise ValueError("horizon must be finite and nonnegative")
         if times.size:
             if not times[0] > 0:
                 raise ValueError("event times must be strictly positive")
@@ -67,14 +68,14 @@ def simulate_path(model: IntensityModel, horizon: float, seed) -> EventTimes:
         acc = block[-1]
     s = np.concatenate(epochs)
     s = s[s <= total]
-    times = np.asarray(model.cif_inverse(s), dtype=float)
+    times = model.cif_inverse(s)
     times = times[times <= horizon]
     return EventTimes(times, horizon)
 
 
 def jump_time_pdf(model: IntensityModel, k: int, t: float) -> float:
     """Density of the k-th jump time: lambda(t) Lambda(t)^{k-1}
-    exp(-Lambda(t)) / (k-1)!; zero for t < 0.
+    exp(-Lambda(t)) / (k-1)!; zero for t < 0 and where Lambda(t) = inf.
 
     Evaluated in log space so large k cannot overflow.
     """
@@ -87,7 +88,8 @@ def jump_time_pdf(model: IntensityModel, k: int, t: float) -> float:
     if lam == 0.0:
         return 0.0
     big_l = model.cif(t)
-    if k > 1 and big_l == 0.0:
+    # the log form below would take log 0, or be inf - inf at t = inf
+    if big_l == math.inf or (k > 1 and big_l == 0.0):
         return 0.0
     log_pdf = math.log(lam) - big_l - math.lgamma(k)
     if k > 1:
@@ -103,7 +105,7 @@ def sample_jump_times(model: IntensityModel, k: int, n: int, seed) -> np.ndarray
     if n < 0:
         raise ValueError("n must be nonnegative")
     rng = np.random.default_rng(seed)
-    return np.asarray(model.cif_inverse(rng.gamma(k, size=int(n))), dtype=float)
+    return model.cif_inverse(rng.gamma(k, size=int(n)))
 
 
 _CSV_BLOCK = 4096

@@ -192,11 +192,10 @@ def folded_normal_cdf(x, sigma: float):
     """CDF of |N(0, sigma^2)|: 2 Phi(x / sigma) - 1 for x >= 0, else 0."""
     if not sigma > 0:
         raise ValueError("sigma must be strictly positive")
-    x_arr = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):  # x / sigma = inf gives Phi = 1
-        z = x_arr / sigma
-    out = np.clip(2.0 * normal_cdf(z) - 1.0, 0.0, 1.0)
-    return _float_if_scalar(np.where(x_arr < 0, 0.0, out))
+        z = np.asarray(x, dtype=float) / sigma
+    # x < 0 gives Phi(z) <= 1/2, so the clip returns 0 there
+    return _float_if_scalar(np.clip(2.0 * normal_cdf(z) - 1.0, 0.0, 1.0))
 
 
 def normal_quantile(p: float) -> float:

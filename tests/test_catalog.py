@@ -32,6 +32,8 @@ class TestParseCatalog:
         with pytest.raises(CatalogFormatError, match="magnitude must be nonnegative") as exc:
             parse_catalog("year,magnitude\n1900,9\n1910,nan\n1920,7")
         assert exc.value.line_no == 3
+        with pytest.raises(CatalogFormatError, match="must be nonnegative and finite"):
+            parse_catalog("year,magnitude\n1900,inf\n1910,7\n1950,7")
 
     def test_out_of_order_years(self):
         with pytest.raises(CatalogFormatError):

@@ -261,6 +261,14 @@ class TestBadInput:
         (["verify", "clt", "--t", "100,200"], "--t takes one window length for clt, got 2"),
         (["verify", "kolmogorov", "--t", "100,200"],
          "--t takes one window length for kolmogorov, got 2"),
+        (["analyze", "--catalog", "{inf_mag}"],
+         "line 2: magnitude must be nonnegative and finite"),
+        (["verify", "gc", "--t", "100"],
+         "--t takes at least two window lengths for gc, got 1"),
+        (["verify", "gc", "--t", "100,nan"],
+         "--t takes strictly positive, increasing window lengths for gc"),
+        (["verify", "gc", "--t", "100,10"],
+         "--t takes strictly positive, increasing window lengths for gc"),
     ], ids=["horizon_inf", "horizon_nan", "h_step_zero", "segment_negative",
             "segment_zero", "segment_past_end", "bands_without_segment",
             "bands_without_moderate_event", "major_threshold_nan", "gc_reps_zero",
@@ -272,7 +280,8 @@ class TestBadInput:
             "gof_percentages_t_inf_json", "gof_percentages_t_inf_csv", "h_step_inf",
             "h_step_nan", "h_max_huge", "grid_one_past_limit", "h_step_subnormal",
             "gof_percentages_bad_cell", "gof_percentages_bad_t", "catalog_nan_magnitude",
-            "clt_t_list", "kolmogorov_t_list"])
+            "clt_t_list", "kolmogorov_t_list", "catalog_inf_magnitude", "gc_t_one",
+            "gc_t_nan", "gc_t_decreasing"])
     def test_exits_2_with_one_line(self, capsys, tmp_path, args, message):
         lone_major = tmp_path / "lone.csv"
         lone_major.write_text("year,magnitude\n1900,9.0\n")
@@ -293,10 +302,13 @@ class TestBadInput:
         bad_t.write_text("t,p1,p2\n1,50,50\nabc,50,50\n")
         nan_mag = tmp_path / "nan_mag.csv"
         nan_mag.write_text("year,magnitude\n1900,9\n1910,nan\n1920,7")
+        inf_mag = tmp_path / "inf_mag.csv"
+        inf_mag.write_text("year,magnitude\n1900,inf\n1910,7\n1950,7")
         svg = tmp_path / "out.svg"
         args = [a.format(lone_major=lone_major, nan_row=nan_row, one_bin=one_bin,
                          short_row=short_row, nan_t=nan_t, inf_t=inf_t,
-                         bad_cell=bad_cell, bad_t=bad_t, nan_mag=nan_mag, svg=svg)
+                         bad_cell=bad_cell, bad_t=bad_t, nan_mag=nan_mag, inf_mag=inf_mag,
+                         svg=svg)
                 for a in args]
         if args[0] == "verify":
             args += ["--seed", "0"]

@@ -17,7 +17,7 @@ from quakewait.inference import (confidence_bands, estimate_slope, path_log_like
                                  verify_glivenko_cantelli, verify_kolmogorov_limit)
 from quakewait.limitlaw import (WaitingLaw, breakpoints, conditional_cdf, limit_cdf,
                                 sup_distance_exp)
-from quakewait.nhpp import EventTimes
+from quakewait.nhpp import EventTimes, jump_time_pdf
 from quakewait.statfn import (chi2_sf, folded_normal_cdf, kolmogorov_sf, ks_test,
                               normal_cdf, reg_lower_incomplete_gamma,
                               reg_upper_incomplete_gamma)
@@ -133,7 +133,8 @@ def test_nan_parameter_is_rejected(call):
         call()
 
 
-# finite parameters whose product overflows, or passes what numpy can draw
+# finite parameters whose product overflows, or passes what numpy can draw,
+# and infinite parameters with no limit value
 @pytest.mark.parametrize("call, match", [
     (lambda: WaitingLaw(1e300, 2, 1e300), "m\\*t must be finite"),
     (lambda: WaitingLaw(1e300, 1, 1e300), "m\\*t must be finite"),
@@ -142,11 +143,33 @@ def test_nan_parameter_is_rejected(call):
     (lambda: verify_kolmogorov_limit(1e10, 1e10, 500, 0), "m \\* window must be at most"),
     (lambda: verify_glivenko_cantelli(1e10, (10.0, 1e10), 10, 0),
      "m \\* window must be at most"),
+    (lambda: slope_ci(math.inf, 0.0, 10.0, 0.05), "m_hat must be nonnegative and finite"),
+    (lambda: breakpoints(math.inf, 4), "m must be finite and strictly positive"),
+    (lambda: path_log_likelihood(EVENTS, MODEL, math.inf), "t must be finite"),
+    (lambda: path_log_likelihood(EVENTS, IntensityModel.piecewise([(0.0, 2.0), (1.0, 0.5)]),
+                                 math.inf), "t must be finite"),
+    (lambda: EventTimes((1.0,), math.inf), "horizon must be finite"),
 ], ids=["waiting_law", "waiting_law_k1", "verify_clt_inf", "verify_clt",
-        "verify_kolmogorov", "verify_gc"])
+        "verify_kolmogorov", "verify_gc", "slope_ci_m_hat_inf", "breakpoints_m_inf",
+        "log_likelihood_t_inf", "log_likelihood_t_inf_tail_half", "event_horizon_inf"])
 def test_overflowing_parameter_is_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# an infinite rate or time where the value has a limit: 0 * inf is not NaN
+@pytest.mark.parametrize("call, expected", [
+    (lambda: random_cdf(math.inf, 0.0), 0.0),
+    (lambda: random_cdf(0.0, math.inf), 0.0),
+    (lambda: limit_cdf(math.inf, np.array([0.0, 2.0])).tolist(), [0.0, 1.0]),
+    (lambda: confidence_bands((math.inf, 1.0), [0.0, 1.0]).upper.tolist(), [0.0, 1.0]),
+    (lambda: jump_time_pdf(MODEL, 3, math.inf), 0.0),
+    (lambda: jump_time_pdf(MODEL, 1, math.inf), 0.0),
+], ids=["random_cdf_inf_rate_at_0", "random_cdf_zero_rate_at_inf", "limit_cdf_inf_rate",
+        "bands_inf_rate", "jump_time_pdf_k3", "jump_time_pdf_k1"])
+def test_infinite_parameter_gives_the_limit(call, expected):
+    # pytest's settings turn a RuntimeWarning into an error
+    assert call() == expected
 
 
 def test_infinity_is_accepted():

@@ -62,11 +62,20 @@ class TestCifInverse:
         # Lambda reaches 1 at t=1 and stays flat until t=2
         assert model.cif_inverse(1.0) == 1.0
         assert model.cif_inverse(1.5) == 2.5
+        # cum repeats across two zero-rate segments; their end value maps to
+        # the left endpoint of the first
+        model = IntensityModel.piecewise([(0.0, 1.0), (1.0, 0.0), (2.0, 0.0), (3.0, 2.0)])
+        assert model.cif_inverse(np.array([1.0, np.nextafter(1.0, 2.0)])).tolist() == [
+            1.0, 3.0 + (np.nextafter(1.0, 2.0) - 1.0) / 2.0]
 
     def test_leading_zero_rate(self):
         model = IntensityModel.piecewise([(0.0, 0.0), (1.0, 1.0)])
         assert model.cif_inverse(0.0) == 0.0
         assert model.cif_inverse(0.5) == 1.5
+        # y = +-0 lands in the zero-rate segment: t is +0.0, without a warning
+        got = model.cif_inverse(np.array([0.0, -0.0, 0.5]))
+        assert got.tolist() == [0.0, 0.0, 1.5] and not np.signbit(got).any()
+        assert math.copysign(1.0, model.cif_inverse(-0.0)) == 1.0
 
 
 class TestAsymptoticSlope:

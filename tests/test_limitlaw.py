@@ -106,6 +106,7 @@ class TestConditionalCdf:
                                   [1.0, 1.0, 1.0])
             # k = 1 never forms h/t, so t = 0 stays finite-valued
             assert conditional_cdf(WaitingLaw(0.0, 1, 1.0), 1.0) == limit_cdf(1.0, 1.0)
+            assert conditional_cdf(WaitingLaw(0.0, 1, 1.0), math.inf) == 1.0
             # x is finite but the log-survival overflows to -inf
             assert conditional_cdf(WaitingLaw(1e-10, 2, 1e300), 1e30) == 1.0
             assert conditional_cdf(WaitingLaw(1e-10, 1, 1e300), 1e30) == 1.0
@@ -143,6 +144,12 @@ class TestConditionalCdf:
 class TestSampleConditional:
     def test_empty(self):
         assert sample_conditional(WaitingLaw(50, 10, 1.0), 0, 1).size == 0
+        # an empty draw leaves a passed generator where it was
+        gen = np.random.default_rng(3)
+        before = gen.bit_generator.state
+        out = sample_conditional(WaitingLaw(50, 10, 1.0), 0, gen)
+        assert out.dtype == float and out.shape == (0,)
+        assert gen.bit_generator.state == before
 
     def test_inverse_transform_accuracy(self):
         law = WaitingLaw(50, 10, 1.0)
@@ -212,7 +219,7 @@ class TestBreakpoints:
         assert np.allclose(breakpoints(1.0, 10), DECILE_CUTS, atol=1e-7)
 
     def test_zero_rate_raises(self):
-        with pytest.raises(ValueError, match="m must be strictly positive"):
+        with pytest.raises(ValueError, match="m must be finite and strictly positive"):
             breakpoints(0.0, 10)
 
     def test_exponential_median(self):

@@ -28,11 +28,15 @@ class TestEventTimes:
         ((math.nan, 1.0, 3.0), 10.0, "strictly positive"),
         ((0.5, 1.0, math.nan), 10.0, "strictly increasing"),
         ((math.nan,), 10.0, "strictly positive"),
-        ((0.5, 1.0), math.nan, "horizon must be nonnegative"),
-        ((), math.nan, "horizon must be nonnegative"),
-        ((), -1.0, "horizon must be nonnegative"),
+        ((0.5, 1.0), math.nan, "horizon must be finite and nonnegative"),
+        ((), math.nan, "horizon must be finite and nonnegative"),
+        ((), -1.0, "horizon must be finite and nonnegative"),
+        ((1.0,), math.inf, "horizon must be finite and nonnegative"),
+        ((math.inf,), math.inf, "horizon must be finite and nonnegative"),
+        ((), math.inf, "horizon must be finite and nonnegative"),
     ], ids=["nan_inside", "nan_first", "nan_last", "nan_only", "nan_horizon",
-            "nan_horizon_empty", "negative_horizon"])
+            "nan_horizon_empty", "negative_horizon", "inf_horizon", "inf_time",
+            "inf_horizon_empty"])
     def test_nan_or_negative_is_rejected(self, times, horizon, message):
         with pytest.raises(ValueError, match=message):
             EventTimes(times, horizon)
