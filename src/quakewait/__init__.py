@@ -13,7 +13,8 @@ from .inference import (SlopeEstimate, BandCurve, estimate_slope,
                         estimate_slope_with_ci, path_log_likelihood,
                         slope_ci, confidence_bands, verify_clt,
                         verify_glivenko_cantelli, verify_kolmogorov_limit)
-from .gof import GofReport, bin_percentages, chi_square_stat, gof_pvalue, table1_experiment
+from .gof import (GofReport, bin_percentages, chi_square_stat, expected_percentages,
+                  gof_pvalue, table1_experiment)
 from .catalog import (CatalogEvent, CatalogSegment, parse_catalog,
                       load_reference_catalog, segment_by_major, slope_series,
                       slope_at, empirical_waiting_cdf, compare_cdfs,

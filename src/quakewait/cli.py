@@ -4,14 +4,17 @@ Subcommands: ``simulate`` (write a sample path), ``gof`` (the conditional
 vs limit-law experiment), ``analyze`` (catalog slope series, CDF
 comparisons, confidence bands), ``verify`` (Monte Carlo checks of the
 asymptotic results).  Exit codes: 0 success, 1 internal failure, 2 usage
-or input error (1 also when memory runs out).
+or input error (1 also when memory runs out, the disk is full or the
+reader of stdout has gone).
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
+import os
 import secrets
 import sys
 import warnings
@@ -335,6 +338,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at devnull, so that the flush at exit
+    drops what is still buffered instead of failing on it again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -344,8 +355,22 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}",
                                                           file=sys.stderr)
         try:
-            return args.func(args)
-        except (ValueError, OSError, IndexError) as exc:
+            code = args.func(args)
+            sys.stdout.flush()  # so that a closed or full stdout fails here
+            return code
+        except BrokenPipeError:
+            # the reader has gone, so there is no one to report to ("Note
+            # on SIGPIPE" in the signal module docs)
+            _discard_stdout()
+            return 1
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            if exc.errno != errno.ENOSPC:
+                return 2
+            # a write failure, not a bad input
+            _discard_stdout()
+            return 1
+        except (ValueError, IndexError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except ConvergenceError as exc:

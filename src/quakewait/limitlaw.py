@@ -113,12 +113,20 @@ def sample_conditional(law: WaitingLaw, n: int, seed) -> np.ndarray:
     then fall monotonically onto it, so no bracket is needed.  Iteration
     stops once every sample satisfies |G_t(sample) - u| <= 1e-12 and
     raises ConvergenceError if that takes more than ``_MAX_ITER`` passes.
+    A start that overflows, at an m near the smallest floats, raises
+    ValueError.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     u = np.random.default_rng(seed).random(int(n))
     log_surv = np.log1p(-u)
-    h = log_surv / -law.m
+    with np.errstate(over="ignore"):
+        h = log_surv / -law.m
+    # f is non-increasing from a start with f >= 0, so the root lies at or
+    # beyond the start and is out of range too
+    if not np.isfinite(h).all():
+        raise ValueError(f"m={law.m} is too small: the start -log1p(-u)/m "
+                         "overflows")
     excess = law.m * law.t - (law.k - 1)
     # the slope vanishes only at h = 0 on the boundary m t = k-1, where
     # u = 0 and f = 0 too; the floor turns that 0/0 into a zero step
@@ -140,7 +148,12 @@ def breakpoints(m: float, r: int) -> np.ndarray:
     if r < 2 or int(r) != r:
         raise ValueError("r must be an integer >= 2")
     i = np.arange(1, int(r))
-    return -np.log1p(-i / r) / m
+    with np.errstate(over="ignore"):
+        cuts = -np.log1p(-i / r) / m
+    if not np.isfinite(cuts).all():
+        raise ValueError(f"m={m} is too small: the cut points -log1p(-i/r)/m "
+                         "overflow")
+    return cuts
 
 
 def sup_distance_exp(a, b):

@@ -1,7 +1,9 @@
 import csv
+import errno
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -269,6 +271,8 @@ class TestBadInput:
          "--t takes strictly positive, increasing window lengths for gc"),
         (["verify", "gc", "--t", "100,10"],
          "--t takes strictly positive, increasing window lengths for gc"),
+        (["gof", "--m", "5e-324", "--k", "1", "--t", "10", "--n", "100"],
+         "m=5e-324 is too small"),
     ], ids=["horizon_inf", "horizon_nan", "h_step_zero", "segment_negative",
             "segment_zero", "segment_past_end", "bands_without_segment",
             "bands_without_moderate_event", "major_threshold_nan", "gc_reps_zero",
@@ -281,7 +285,7 @@ class TestBadInput:
             "h_step_nan", "h_max_huge", "grid_one_past_limit", "h_step_subnormal",
             "gof_percentages_bad_cell", "gof_percentages_bad_t", "catalog_nan_magnitude",
             "clt_t_list", "kolmogorov_t_list", "catalog_inf_magnitude", "gc_t_one",
-            "gc_t_nan", "gc_t_decreasing"])
+            "gc_t_nan", "gc_t_decreasing", "gof_m_subnormal"])
     def test_exits_2_with_one_line(self, capsys, tmp_path, args, message):
         lone_major = tmp_path / "lone.csv"
         lone_major.write_text("year,magnitude\n1900,9.0\n")
@@ -404,6 +408,58 @@ def test_memory_error_exits_1_with_one_line(capsys, monkeypatch, tmp_path, exc, 
     assert (code, stdout, err) == (1, "", line)
 
 
+class FailingStdout(io.StringIO):
+    """Stands in for stdout on file descriptor ``fd``: its ``method``,
+    write or flush, raises ``exc``."""
+
+    def __init__(self, fd, method, exc):
+        super().__init__()
+        self.fd = fd
+
+        def fail(*args):
+            raise exc
+        setattr(self, method, fail)
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("exc, err", [
+    (BrokenPipeError(errno.EPIPE, "Broken pipe"), ""),
+    (OSError(errno.ENOSPC, "No space left on device"),
+     "error: [Errno 28] No space left on device\n"),
+], ids=["closed_pipe", "disk_full"])
+def test_stdout_write_failure_exits_1(capsys, monkeypatch, tmp_path, method, exc, err):
+    # a closed pipe (`| head -1`) is reported to no one, a full disk
+    # (`> /dev/full`) in one line; either way stdout then leads to devnull,
+    # so the flush at exit does not fail again on what is still buffered
+    with open(tmp_path / "stdout", "w") as fp:
+        monkeypatch.setattr(sys, "stdout", FailingStdout(fp.fileno(), method, exc))
+        code = main(["gof", "--t", "10,25,50,60,70,80,90,100", "--seed", "0"])
+        assert os.path.samestat(os.fstat(fp.fileno()), os.stat(os.devnull))
+    assert (code, capsys.readouterr().err) == (1, err)
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of each ``quakewait`` line in README's CLI block,
+    continuation lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("quakewait ")]
+
+
+def test_readme_commands_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gof", "--format", "csv", "--seed", "0"]) == 0
+    (tmp_path / "rows.csv").write_text(capsys.readouterr().out)
+    commands = readme_commands()
+    assert sorted({argv[0] for argv in commands}) == ["analyze", "gof", "simulate", "verify"]
+    for argv in commands:
+        assert main(argv) == 0, argv
+
+
 def run_subprocess(*args):
     # in-process runs hide warnings: pytest captures them before they print
     src = str(Path(quakewait.__file__).resolve().parents[1])
@@ -416,7 +472,8 @@ def run_subprocess(*args):
 @pytest.mark.parametrize("args", [
     ["verify", "clt", "--m", "1e300", "--t", "1e300", "--reps", "100", "--seed", "0"],
     ["gof", "--m", "1e300", "--t", "1e300", "--k", "2", "--seed", "0"],
-], ids=["poisson_mean", "waiting_law"])
+    ["gof", "--m", "5e-324", "--k", "1", "--t", "10", "--n", "100", "--seed", "0"],
+], ids=["poisson_mean", "waiting_law", "subnormal_rate"])
 def test_overflowing_parameters_warn_nothing(args):
     proc = run_subprocess(*args)
     assert proc.returncode == 2

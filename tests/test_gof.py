@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
-from quakewait.gof import (bin_percentages, chi_square_stat, gof_pvalue,
-                           table1_experiment)
-from quakewait.limitlaw import ValidityError, breakpoints
+from quakewait.gof import (bin_percentages, chi_square_stat, expected_percentages,
+                           gof_pvalue, table1_experiment)
+from quakewait.limitlaw import ValidityError, WaitingLaw, breakpoints, sample_conditional
+from quakewait.rng import substreams
 
 ROW_T25 = (6.7, 6.4, 7.0, 8.3, 7.4, 9.2, 10.1, 11.8, 12.5, 20.6)
 ROW_T30 = (7.5, 9.0, 8.4, 7.4, 7.7, 7.5, 9.9, 10.1, 13.0, 19.5)
 ROW_T40 = (7.3, 8.9, 9.4, 9.2, 9.6, 8.7, 11.7, 8.2, 11.1, 15.9)
 ROW_T50 = (10.3, 9.7, 8.2, 8.8, 9.3, 11.5, 8.9, 9.7, 11.1, 12.5)
+TABLE1_T = (10.0, 20.0, 25.0, 30.0, 40.0, 50.0)
 
 
 class TestBinPercentages:
@@ -163,3 +166,42 @@ class TestExperiment:
         for rep in reports:
             assert rep.percentages.sum() == pytest.approx(100.0, abs=1e-9)
             assert rep.chi2 >= 0.0
+
+    # the Newton sampler inverts the uniforms the experiment bins, so its
+    # draws binned at the cuts give the same percentages; the last three
+    # laws lie on the boundary m t = k - 1
+    @pytest.mark.parametrize("m, k, ts, r", [
+        (1.0, 10, TABLE1_T, 2), (1.0, 10, TABLE1_T, 5), (1.0, 10, TABLE1_T, 10),
+        (1.0, 10, TABLE1_T, 40), (1.0, 10, (9.0,), 10), (0.5, 3, (4.0,), 10),
+        (2.0, 1, (0.0,), 10),
+    ], ids=["table1_r2", "table1_r5", "table1_r10", "table1_r40", "boundary_k10",
+            "boundary_k3", "boundary_k1"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_equals_binned_newton_draws(self, m, k, ts, r, seed):
+        cuts = breakpoints(m, r)
+        reports = table1_experiment(m, k, ts, 1000, seed, r=r)
+        for rep, t, gen in zip(reports, ts, substreams(seed, len(ts))):
+            draws = sample_conditional(WaitingLaw(t, k, m), 1000, gen)
+            assert np.array_equal(rep.percentages, bin_percentages(draws, cuts))
+
+
+class TestExpectedPercentages:
+    def test_table1_law(self):
+        got = expected_percentages(WaitingLaw(10.0, 10, 1.0), 10)
+        assert got.tolist() == pytest.approx(
+            [1.10, 1.33, 1.62, 2.01, 2.55, 3.34, 4.59, 6.84, 12.06, 64.56], abs=0.005)
+        assert got.sum() == pytest.approx(100.0, abs=1e-12)
+
+    def test_k1_is_the_limit(self):
+        assert expected_percentages(WaitingLaw(3.0, 1, 2.0), 5).tolist() == pytest.approx(
+            [20.0] * 5, abs=1e-12)
+
+    def test_newton_draws_follow_the_cells(self):
+        # chi-square p-values of independent Newton draws against the exact
+        # cells are uniform; seed and threshold fixed before the first run
+        law, n = WaitingLaw(10.0, 10, 1.0), 10_000
+        cuts, cells = breakpoints(law.m, 10), n / 100.0 * expected_percentages(law, 10)
+        p_values = [stats.chisquare(n / 100.0 * bin_percentages(
+                        sample_conditional(law, n, gen), cuts), cells).pvalue
+                    for gen in substreams(7, 100)]
+        assert stats.kstest(p_values, "uniform").pvalue > 0.001

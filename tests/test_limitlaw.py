@@ -213,6 +213,17 @@ class TestSampleConditional:
         with pytest.raises(ConvergenceError, match="did not converge"):
             sample_conditional(WaitingLaw(50, 10, 1.0), 100, 0)
 
+    # the start -log1p(-u)/m overflows for every u at m = 5e-324, and for
+    # u above 1 - exp(-1.79) at m = 1e-308; pytest's settings turn an
+    # overflow warning into an error
+    @pytest.mark.parametrize("law, message", [
+        (WaitingLaw(10.0, 1, 5e-324), "m=5e-324 is too small"),
+        (WaitingLaw(1.1e308, 2, 1e-308), "m=1e-308 is too small"),
+    ], ids=["subnormal_k1", "tiny_k2"])
+    def test_overflowing_start_raises(self, law, message):
+        with pytest.raises(ValueError, match=message):
+            sample_conditional(law, 100, 0)
+
 
 class TestBreakpoints:
     def test_decile_values(self):
@@ -221,6 +232,12 @@ class TestBreakpoints:
     def test_zero_rate_raises(self):
         with pytest.raises(ValueError, match="m must be finite and strictly positive"):
             breakpoints(0.0, 10)
+
+    # at m = 1e-308 only the last decile cut, 2.30/m, overflows
+    @pytest.mark.parametrize("m", [5e-324, 1e-308])
+    def test_overflowing_cuts_raise(self, m):
+        with pytest.raises(ValueError, match=f"m={m!r} is too small"):
+            breakpoints(m, 10)
 
     def test_exponential_median(self):
         assert breakpoints(2.0, 2)[0] == pytest.approx(math.log(2) / 2, rel=1e-12)
