@@ -3,9 +3,10 @@
 Subcommands: ``simulate`` (write a sample path), ``gof`` (the conditional
 vs limit-law experiment), ``analyze`` (catalog slope series, CDF
 comparisons, confidence bands), ``verify`` (Monte Carlo checks of the
-asymptotic results).  Exit codes: 0 success, 1 internal failure, 2 usage
-or input error (1 also when memory runs out, the disk is full or the
-reader of stdout has gone).
+asymptotic results).  Exit codes: 0 success, 1 internal failure (an
+iteration that did not converge, or an ``IndexError``), 2 usage or input
+error (1 also when memory runs out, the disk is full or the reader of
+stdout has gone).
 """
 from __future__ import annotations
 
@@ -370,10 +371,12 @@ def main(argv=None) -> int:
             # a write failure, not a bad input
             _discard_stdout()
             return 1
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except ConvergenceError as exc:
+        except (ConvergenceError, IndexError) as exc:
+            # an unconverged iteration or an index out of range is a fault
+            # of the program, not of the input
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except MemoryError as exc:

@@ -95,14 +95,21 @@ def table1_experiment(m: float, k: int, t_values, n: int, seed,
     are multinomial with the exact cell probabilities; no draw is inverted.
     The uniforms are those ``sample_conditional`` would invert.  Replicate
     i (the i-th t value) uses substream i of the master seed, so results
-    do not depend on evaluation order."""
+    do not depend on evaluation order.  ValueError where G_t(c_j) does not
+    strictly increase in floating point, as on the boundary m t = k - 1 at
+    k = 1e17."""
     if n < 1:
         raise ValueError("n must be at least 1")
     cuts = breakpoints(m, r)
     reports = []
     for t, gen in zip(t_values, substreams(seed, len(t_values))):
         law = WaitingLaw(t, k, m)
-        perc = bin_percentages(gen.random(int(n)), conditional_cdf(law, cuts))
+        cdf = conditional_cdf(law, cuts)
+        if not (np.diff(cdf) > 0).all():
+            raise ValueError(f"G_t at t={law.t!r}, k={law.k}, m={law.m!r} rounds to "
+                             "equal values at the cut points, so its bins cannot be "
+                             "told apart")
+        perc = bin_percentages(gen.random(int(n)), cdf)
         stat = chi_square_stat(perc)
         p = chi2_sf(stat, r - 1)
         reports.append(GofReport(float(t), perc, stat, p, int(n), int(r)))

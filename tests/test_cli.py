@@ -98,21 +98,31 @@ class TestGof:
         assert row["chi2"] == 12.5
         assert row["p_value"] == pytest.approx(stats.chi2.sf(12.5, 2), rel=1e-11)
 
-    def test_p_value_out_of_reach_exits_1(self, capsys, monkeypatch):
+    @staticmethod
+    def write_sparse_row(tmp_path):
+        """100 draws in distinct cells of 40,000, so chi2 = 39,900 and the
+        incomplete gamma at df = 39,999 takes its series branch."""
+        table = tmp_path / "sparse.csv"
+        table.write_text("t," + ",".join(f"p{i}" for i in range(1, 40_001)) + "\n"
+                         "50" + ",1" * 100 + ",0" * 39_900 + "\n")
+        return table
+
+    def test_p_value_out_of_reach_exits_1(self, capsys, monkeypatch, tmp_path):
         # a term cap too small for chi2 near df = 39999
         monkeypatch.setattr(statfn, "_GAMMA_ITMAX", 1)
-        code, stdout, err = run(capsys, "gof", "--n", "100", "--r", "40000",
-                                "--t", "50", "--seed", "1")
+        code, stdout, err = run(capsys, "gof", "--from-percentages",
+                                str(self.write_sparse_row(tmp_path)))
         assert code == 1
         assert stdout == ""
         assert err == "error: incomplete gamma series did not converge in 8 terms\n"
 
-    def test_large_r_p_value(self, capsys):
+    def test_large_r_p_value(self, capsys, tmp_path):
         # df = 39999 needs about 1,200 series terms, past the base cap
-        code, stdout, _ = run(capsys, "gof", "--n", "100", "--r", "40000",
-                              "--t", "50", "--seed", "1")
+        code, stdout, _ = run(capsys, "gof", "--from-percentages",
+                              str(self.write_sparse_row(tmp_path)))
         assert code == 0
         (row,) = json.loads(stdout)
+        assert row["chi2"] == pytest.approx(39_900, rel=1e-12)
         assert row["p_value"] == pytest.approx(
             stats.chi2.sf(row["chi2"], 39999), abs=1e-9)
 
@@ -273,6 +283,8 @@ class TestBadInput:
          "--t takes strictly positive, increasing window lengths for gc"),
         (["gof", "--m", "5e-324", "--k", "1", "--t", "10", "--n", "100"],
          "m=5e-324 is too small"),
+        (["gof", "--k", "100000000000000000", "--t", "1e17", "--n", "100", "--seed", "0"],
+         "G_t at t=1e+17, k=100000000000000000, m=1.0 rounds to equal values"),
     ], ids=["horizon_inf", "horizon_nan", "h_step_zero", "segment_negative",
             "segment_zero", "segment_past_end", "bands_without_segment",
             "bands_without_moderate_event", "major_threshold_nan", "gc_reps_zero",
@@ -285,7 +297,7 @@ class TestBadInput:
             "h_step_nan", "h_max_huge", "grid_one_past_limit", "h_step_subnormal",
             "gof_percentages_bad_cell", "gof_percentages_bad_t", "catalog_nan_magnitude",
             "clt_t_list", "kolmogorov_t_list", "catalog_inf_magnitude", "gc_t_one",
-            "gc_t_nan", "gc_t_decreasing", "gof_m_subnormal"])
+            "gc_t_nan", "gc_t_decreasing", "gof_m_subnormal", "gof_k_huge"])
     def test_exits_2_with_one_line(self, capsys, tmp_path, args, message):
         lone_major = tmp_path / "lone.csv"
         lone_major.write_text("year,magnitude\n1900,9.0\n")
@@ -408,6 +420,15 @@ def test_memory_error_exits_1_with_one_line(capsys, monkeypatch, tmp_path, exc, 
     assert (code, stdout, err) == (1, "", line)
 
 
+def test_index_error_exits_1_with_one_line(capsys, monkeypatch):
+    # an IndexError is a fault of the program, not a bad input
+    def analyze(args):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(cli, "_cmd_analyze", analyze)
+    assert run(capsys, "analyze") == (1, "", "error: list index out of range\n")
+
+
 class FailingStdout(io.StringIO):
     """Stands in for stdout on file descriptor ``fd``: its ``method``,
     write or flush, raises ``exc``."""
@@ -460,13 +481,28 @@ def test_readme_commands_run(capsys, monkeypatch, tmp_path):
         assert main(argv) == 0, argv
 
 
-def run_subprocess(*args):
-    # in-process runs hide warnings: pytest captures them before they print
+def run_python(*args):
+    """``python *args`` in a fresh process that imports this quakewait."""
     src = str(Path(quakewait.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "quakewait.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_subprocess(*args):
+    # in-process runs hide warnings: pytest captures them before they print
+    return run_python("-m", "quakewait.cli", *args)
+
+
+def test_commands_that_draw_nothing_leave_numpy_random_unimported():
+    # why rng builds its seed feeder on first use
+    proc = run_python("-c", "import contextlib, io, sys\n"
+                            "import quakewait.cli\n"
+                            "with contextlib.redirect_stdout(io.StringIO()):\n"
+                            "    assert quakewait.cli.main(['analyze']) == 0\n"
+                            "print('numpy.random' in sys.modules)\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 @pytest.mark.parametrize("args", [

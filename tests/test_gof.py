@@ -141,6 +141,12 @@ class TestExperiment:
         with pytest.raises(ValidityError):
             table1_experiment(1.0, 10, [5.0], 1000, 0)
 
+    def test_cuts_the_law_cannot_separate(self):
+        # m t - (k - 1) rounds to 0, so G_t rounds to 0 at every cut
+        with pytest.raises(ValueError, match=r"G_t at t=1e\+17, k=100000000000000000, "
+                                             r"m=1\.0 rounds to equal values"):
+            table1_experiment(1.0, 10**17, [1e17], 1000, 0)
+
     def test_determinism(self):
         a = table1_experiment(1.0, 10, [25.0, 50.0], 1000, 9)
         b = table1_experiment(1.0, 10, [25.0, 50.0], 1000, 9)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from quakewait.inference import (_POISSON_MEAN_MAX, _slope_draws, confidence_bands,
                                  estimate_slope, estimate_slope_with_ci, path_log_likelihood,
@@ -339,6 +340,34 @@ def test_slope_draws_equal_the_per_generator_loop(m, seed, windows):
     expected = np.array(counts, dtype=float) / windows
     got = _slope_draws(m, windows, seed)
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def poisson_cells(mean, n):
+    """Starts s_j of integer cells [s_j, s_{j+1}), the last unbounded, each
+    expected to hold at least 5 of n Poisson(mean) counts, and the cells'
+    probabilities."""
+    cdf = stats.poisson.cdf(np.arange(int(stats.poisson.isf(1e-12, mean)) + 1), mean)
+    starts, below = [0], 0.0
+    for k, c in enumerate(cdf):
+        if n * (c - below) >= 5:
+            starts.append(k + 1)
+            below = c
+    starts = np.array(starts)
+    if n * stats.poisson.sf(starts[-1] - 1, mean) < 5:
+        starts = starts[:-1]  # a thin tail joins the cell before it
+    return starts, np.diff(stats.poisson.cdf(starts - 1, mean), append=1.0)
+
+
+@pytest.mark.parametrize("mean", [3.0, 1e4])
+def test_slope_draws_follow_the_poisson_law(mean):
+    # seed and threshold fixed before the test first ran
+    n, window = 10**4, 3.0
+    windows = np.full(n, window)
+    counts = np.rint(_slope_draws(mean / window, windows, 0) * windows)
+    starts, probs = poisson_cells(mean, n)
+    observed = np.bincount(starts.searchsorted(counts, side="right") - 1,
+                           minlength=starts.size)
+    assert stats.chisquare(observed, n * probs).pvalue > 0.001
 
 
 class TestVerifierDraws:
