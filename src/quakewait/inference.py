@@ -168,9 +168,16 @@ def _slope_draws(m: float, windows, seed) -> np.ndarray:
 
     Only the event count enters the estimator, so replicate i draws
     N ~ Poisson(m windows[i]) from substream i rather than materializing
-    the full path; the distribution of the estimate is identical.
+    the full path; the distribution of the estimate is identical.  This is
+    every verifier's one check of its rate and windows: m and each window
+    must be strictly positive (a NaN fails both), and m times the longest
+    window at most the largest Poisson mean numpy draws.
     """
     m, window = float(m), float(np.max(windows))
+    if not m > 0:
+        raise ValueError("m must be strictly positive")
+    if not np.all(windows > 0):
+        raise ValueError("window lengths must be strictly positive")
     if not m * window <= _POISSON_MEAN_MAX:
         raise ValueError(f"m * window must be at most {_POISSON_MEAN_MAX!r}, the largest "
                          f"Poisson mean numpy draws (got m={m!r}, window={window!r})")
@@ -180,18 +187,20 @@ def _slope_draws(m: float, windows, seed) -> np.ndarray:
     return counts / windows
 
 
+def _verify_ks(m: float, t: float, reps: int, seed, min_reps: int,
+               statistic, limit_cdf) -> KsCheck:
+    """KS-test ``statistic`` of ``reps`` slope draws at window t against ``limit_cdf``."""
+    if reps < min_reps:
+        raise ValueError(f"at least {min_reps} replicates required")
+    stats = statistic(_slope_draws(m, np.full(reps, t), seed))
+    return KsCheck(stats, ks_test(stats, limit_cdf))
+
+
 def verify_clt(m: float, t: float, reps: int, seed) -> KsCheck:
     """KS-test sqrt(t) (m_hat - m) against N(0, m) over ``reps``
     replicates."""
-    if reps < 100:
-        raise ValueError("at least 100 replicates required")
-    if not (m > 0 and t > 0):
-        raise ValueError("m and t must be strictly positive")
-    m_hats = _slope_draws(m, np.full(reps, t), seed)
-    stats = math.sqrt(t) * (m_hats - m)
-    sd = math.sqrt(m)
-    ks = ks_test(stats, lambda x: normal_cdf(x / sd))
-    return KsCheck(stats, ks)
+    return _verify_ks(m, t, reps, seed, 100, lambda m_hats: math.sqrt(t) * (m_hats - m),
+                      lambda x: normal_cdf(x / math.sqrt(m)))
 
 
 def verify_glivenko_cantelli(m: float, taus, reps: int, seed) -> GcCheck:
@@ -200,12 +209,8 @@ def verify_glivenko_cantelli(m: float, taus, reps: int, seed) -> GcCheck:
     taus = tuple(float(t) for t in taus)
     if reps < 1:
         raise ValueError("at least one replicate required")
-    if not m > 0:
-        raise ValueError("m must be strictly positive")
     if len(taus) < 2:
         raise ValueError("at least two window lengths required")
-    if not all(t > 0 for t in taus):
-        raise ValueError("window lengths must be strictly positive")
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError("window lengths must be increasing")
     # window j takes replicates j*reps .. (j+1)*reps - 1 of one run
@@ -218,12 +223,6 @@ def verify_glivenko_cantelli(m: float, taus, reps: int, seed) -> GcCheck:
 def verify_kolmogorov_limit(m: float, tau: float, reps: int, seed) -> KsCheck:
     """KS-test sqrt(tau) * sup-distance against |N(0, exp(-2)/m)| over
     ``reps`` replicates."""
-    if reps < 500:
-        raise ValueError("at least 500 replicates required")
-    if not (m > 0 and tau > 0):
-        raise ValueError("m and tau must be strictly positive")
-    m_hats = _slope_draws(m, np.full(reps, tau), seed)
-    stats = math.sqrt(tau) * sup_distance_exp(m_hats, m)
-    sigma = math.exp(-1.0) / math.sqrt(m)
-    ks = ks_test(stats, lambda x: folded_normal_cdf(x, sigma))
-    return KsCheck(stats, ks)
+    return _verify_ks(m, tau, reps, seed, 500,
+                      lambda m_hats: math.sqrt(tau) * sup_distance_exp(m_hats, m),
+                      lambda x: folded_normal_cdf(x, math.exp(-1.0) / math.sqrt(m)))

@@ -111,33 +111,82 @@ def sample_jump_times(model: IntensityModel, k: int, n: int, seed) -> np.ndarray
 _CSV_BLOCK = 4096
 
 
-def _write_csv(fp, header: str, row: str, *columns) -> None:
+def _write_csv(fp, header: str, row, *columns) -> None:
     """Write ``header``, then one ``%``-style ``row`` per element of the
-    equal-length 1-d float arrays ``columns``.
+    equal-length 1-d float arrays ``columns``; ``row`` is one format for
+    every row or a list of one per row.
 
-    Each block of rows is formatted in one operation, ``row`` repeated once
-    per row applied to the block's values in row order, and written in one
+    Each block of rows is formatted in one operation, the block's formats
+    joined and applied to its values in row order, and written in one
     ``fp.write``, so a long file is never held as one string.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
     fp.write(header)
     for lo in range(0, len(columns[0]), _CSV_BLOCK):
         block = np.stack([c[lo:lo + _CSV_BLOCK] for c in columns], axis=1)
-        fp.write((row * len(block)) % tuple(block.ravel().tolist()))
+        fmt = row * len(block) if isinstance(row, str) else "".join(row[lo:lo + len(block)])
+        fp.write(fmt % tuple(block.ravel().tolist()))
 
 
 def write_events_csv(events: EventTimes, fp) -> None:
     """Write a path as CSV: header ``time``, ascending, 12 significant
-    digits."""
-    _write_csv(fp, "time\n", "%.12g\n", events.times)
+    digits where they read back as a valid path.
+
+    Rounding to 12 digits is monotone and moves a value by at most half a
+    unit of its 12th digit, so only neighbours at most 1e-11 of their value
+    apart can print alike.  Both rows of such a pair, and a last row whose
+    12-digit form would exceed the horizon, are written with 17 digits,
+    which read back exactly.
+    """
+    times, row, exact = events.times, "%.12g\n", []
+    if times.size:
+        gaps = np.diff(times)
+        # gaps[i] <= 1e-11 times[i + 1] implies gaps[i] <= 1e-11 times[-1], a
+        # scalar test that finds the few candidates without a second full array
+        pairs = np.flatnonzero(gaps <= 1e-11 * times[-1])
+        pairs = pairs[gaps[pairs] <= 1e-11 * times[pairs + 1]]
+        exact = [*pairs.tolist(), *(pairs + 1).tolist()]
+        if float("%.12g" % times[-1]) > events.horizon:
+            exact.append(times.size - 1)
+    if exact:
+        row = [row] * times.size
+        for i in exact:
+            row[i] = "%.17g\n"
+    _write_csv(fp, "time\n", row, times)
 
 
 def read_events_csv(fp, horizon: float) -> EventTimes:
     """Read a path written by :func:`write_events_csv`; ``horizon`` is the
     end of the observation window, which the file does not hold.  The last
-    event time would understate it, and a slope over it would read high."""
+    event time would understate it, and a slope over it would read high.
+
+    A row that is not a number, or that breaks a rule of
+    :class:`EventTimes`, raises ``ValueError`` naming its line.
+    """
     header = fp.readline().strip()
     if header != "time":
         raise ValueError("expected header 'time'")
-    times = np.array([float(line) for line in fp if line.strip()], dtype=float)
-    return EventTimes(times, horizon)
+    lines = fp.readlines()
+    try:
+        return EventTimes(np.array([float(s) for s in lines if s.strip()], dtype=float),
+                          horizon)
+    except ValueError:
+        EventTimes((), horizon)  # a bad horizon is no row's fault
+        prev = 0.0
+        for line_no, line in enumerate(lines, start=2):
+            cell = line.strip()
+            if not cell:
+                continue
+            try:
+                t = float(cell)
+            except ValueError:
+                t = None
+            fault = ("is not a number" if t is None else
+                     "is NaN" if math.isnan(t) else
+                     "is not strictly positive" if not t > 0 else
+                     "does not exceed the event time before it" if not t > prev else
+                     f"exceeds the horizon {horizon!r}" if t > horizon else None)
+            if fault:
+                raise ValueError(f"line {line_no}: event time {cell!r} {fault}") from None
+            prev = t
+        raise

@@ -14,6 +14,7 @@ from scipy import stats
 import quakewait
 from quakewait import cli, statfn
 from quakewait.cli import main
+from quakewait.nhpp import read_events_csv
 
 CONSTANT_MODEL = '{"segments":[[0,1]],"tail_start":0,"tail_rate":1}'
 
@@ -45,6 +46,17 @@ class TestSimulate:
         _, stdout, _ = run(capsys, "simulate", "--model", CONSTANT_MODEL,
                            "--horizon", "1000", "--seed", "5", "--out", str(out))
         assert 900 <= json.loads(stdout)["count"] <= 1100
+
+    def test_round_trip_where_two_events_print_alike(self, capsys, tmp_path):
+        # seed 138 draws two events that agree to 12 significant digits
+        out = tmp_path / "ev.csv"
+        code, _, _ = run(capsys, "simulate", "--model", CONSTANT_MODEL,
+                         "--horizon", "1e5", "--seed", "138", "--out", str(out))
+        assert code == 0
+        with open(out) as fp:
+            back = read_events_csv(fp, 1e5)
+        ev = quakewait.simulate_path(quakewait.IntensityModel.constant(1.0), 1e5, 138)
+        assert [f"{t:.12g}" for t in back.times] == [f"{t:.12g}" for t in ev.times]
 
     def test_bad_model(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--model", '{"nope": 1}',

@@ -324,6 +324,24 @@ class TestVerifiers:
         assert a.ks == b.ks
 
 
+VERIFIERS = {
+    "clt": lambda m, window: verify_clt(m, window, 100, 0),
+    "kolmogorov": lambda m, window: verify_kolmogorov_limit(m, window, 500, 0),
+    "gc": lambda m, window: verify_glivenko_cantelli(m, (window, 1e3), 10, 0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFIERS))
+@pytest.mark.parametrize("m, window, message", [
+    *[(m, 100.0, "m must be strictly positive") for m in (0.0, -0.0, -1.0, math.nan)],
+    *[(1.0, w, "window lengths must be strictly positive") for w in (0.0, -1.0, math.nan)],
+], ids=["m_zero", "m_minus_zero", "m_negative", "m_nan",
+        "window_zero", "window_negative", "window_nan"])
+def test_every_verifier_checks_rate_and_windows_in_the_draw(kind, m, window, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        VERIFIERS[kind](m, window)
+
+
 def reference_slope_draws(m, tau, reps, seed, offset):
     """Window-at-a-time draws: replicate i of the window starting at
     replicate ``offset`` reads substream(seed, offset + i)."""

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from quakewait import IntensityModel
 from quakewait.limitlaw import limit_cdf
 from quakewait.nhpp import (EventTimes, _write_csv, jump_time_pdf, read_events_csv,
                             sample_jump_times, simulate_path, write_events_csv)
@@ -139,8 +140,31 @@ class TestCsv:
         assert np.allclose(back.times, ev.times, rtol=1e-11)
 
     def test_nan_row_is_rejected(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(ValueError, match="line 3: event time 'nan' is NaN"):
             read_events_csv(io.StringIO("time\n0.5\nnan\n3\n"), 10.0)
+
+    @pytest.mark.parametrize("text, message", [
+        ("time\n1.0\nabc\n", "line 3: event time 'abc' is not a number"),
+        ("time\n-1\n2\n", "line 2: event time '-1' is not strictly positive"),
+        ("time\n1\n\n0.5\n", "line 4: event time '0.5' does not exceed the event time before"),
+        ("time\n1\n1\n", "line 3: event time '1' does not exceed the event time before"),
+        ("time\n1\ninf\n", "line 3: event time 'inf' exceeds the horizon 10.0"),
+    ], ids=["not_a_number", "negative", "decreasing", "repeated", "inf"])
+    def test_bad_row_is_named_by_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            read_events_csv(io.StringIO(text), 10.0)
+
+    def test_bad_horizon_is_reported_before_the_rows(self):
+        with pytest.raises(ValueError, match="horizon must be finite and nonnegative"):
+            read_events_csv(io.StringIO("time\nabc\n"), math.nan)
+
+    @pytest.mark.parametrize("seed", [138, 189])
+    def test_round_trip_of_neighbours_twelve_digits_cannot_part(self, seed):
+        # each of these paths holds two events that print alike at 12 digits
+        ev = simulate_path(IntensityModel.constant(1.0), 1e5, seed)
+        back = _round_trip(ev)
+        assert len(back) == len(ev)
+        assert np.allclose(back.times, ev.times, rtol=1e-11, atol=0.0)
 
     def test_header(self):
         buf = io.StringIO()
@@ -154,7 +178,45 @@ class TestCsv:
         times = np.geomspace(1e-7, 1e7, n) * rng.uniform(1.0, 1.001, size=n)
         buf = io.StringIO()
         write_events_csv(EventTimes(times, float(times[-1]) if n else 0.0), buf)
-        assert buf.getvalue() == "time\n" + "".join(f"{t:.12g}\n" for t in times)
+        rows = [f"{t:.12g}\n" for t in times]
+        if n and float(rows[-1]) > times[-1]:  # rounded past the horizon: exact
+            rows[-1] = f"{times[-1]:.17g}\n"
+        assert buf.getvalue() == "time\n" + "".join(rows)
+
+
+def _round_trip(ev):
+    buf = io.StringIO()
+    write_events_csv(ev, buf)
+    buf.seek(0)
+    return read_events_csv(buf, ev.horizon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=20))
+def test_neighbours_one_ulp_apart_read_back(base):
+    x = np.array(base)
+    times = np.unique(np.concatenate([x, np.nextafter(x, np.inf)]))
+    # every time has a neighbour one ulp away, so every row is written exactly
+    assert np.array_equal(_round_trip(EventTimes(times, float(times[-1]))).times, times)
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=20),
+       rel=st.floats(0.0, 1e-11))
+def test_neighbours_within_a_unit_of_the_twelfth_digit_read_back(base, rel):
+    x = np.array(base)
+    times = np.unique(np.concatenate([x, np.maximum(np.nextafter(x, np.inf), x * (1 + rel))]))
+    back = _round_trip(EventTimes(times, float(times[-1])))
+    assert np.allclose(back.times, times, rtol=1e-11, atol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(horizon=st.floats(1e-300, 1e300), ulps=st.integers(0, 1))
+def test_last_event_within_one_ulp_of_a_long_horizon_reads_back(horizon, ulps):
+    assume(float(f"{horizon:.12g}") != horizon)  # more than 12 digits
+    last = np.nextafter(horizon, 0.0) if ulps else horizon
+    back = _round_trip(EventTimes((last / 2, last), horizon))
+    assert np.allclose(back.times, (last / 2, last), rtol=1e-11, atol=0.0)
 
 
 # values whose text is easy to get wrong: signed zero and NaN, infinities,
