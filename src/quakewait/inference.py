@@ -8,6 +8,7 @@ asymptotically normal with variance m / (tau - tau*).
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -159,8 +160,7 @@ def confidence_bands(ci, grid) -> BandCurve:
 def write_bands_csv(band: BandCurve, fp) -> None:
     """Write a band curve as CSV: header ``h,lower,upper``, 12 significant
     digits."""
-    _write_csv(fp, "h,lower,upper\n", "%.12g,%.12g,%.12g\n",
-               band.grid, band.lower, band.upper)
+    _write_csv(fp, "h,lower,upper\n", band.grid, band.lower, band.upper)
 
 
 def _slope_draws(m: float, windows, seed) -> np.ndarray:
@@ -187,9 +187,18 @@ def _slope_draws(m: float, windows, seed) -> np.ndarray:
     return counts / windows
 
 
+def _replicate_count(reps) -> int:
+    """``reps`` as an int; a numpy integer passes, a float or NaN does not."""
+    try:
+        return operator.index(reps)
+    except TypeError:
+        raise ValueError(f"reps must be an integer, got {reps!r}") from None
+
+
 def _verify_ks(m: float, t: float, reps: int, seed, min_reps: int,
                statistic, limit_cdf) -> KsCheck:
     """KS-test ``statistic`` of ``reps`` slope draws at window t against ``limit_cdf``."""
+    reps = _replicate_count(reps)
     if reps < min_reps:
         raise ValueError(f"at least {min_reps} replicates required")
     stats = statistic(_slope_draws(m, np.full(reps, t), seed))
@@ -207,6 +216,7 @@ def verify_glivenko_cantelli(m: float, taus, reps: int, seed) -> GcCheck:
     """Median sup-distance between the estimated and true limit CDFs, per
     window length; medians should shrink as the window grows."""
     taus = tuple(float(t) for t in taus)
+    reps = _replicate_count(reps)
     if reps < 1:
         raise ValueError("at least one replicate required")
     if len(taus) < 2:

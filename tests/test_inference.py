@@ -260,13 +260,16 @@ class TestConfidenceBands:
         assert len(lines) == 3
 
     def test_csv_blocks_match_per_line_format(self):
-        band = confidence_bands(self.CI, np.arange(5000) * 0.01)
-        buf = io.StringIO()
-        write_bands_csv(band, buf)
-        expected = "h,lower,upper\n" + "".join(
-            f"{h:.12g},{lo:.12g},{hi:.12g}\n"
-            for h, lo, hi in zip(band.grid, band.lower, band.upper))
-        assert buf.getvalue() == expected
+        # band values below 1 take the writer's per-cell path, grid values from 1
+        # up its table path; rates near 1e-7 print every band value with an exponent
+        for ci in (self.CI, (1e-7, 2e-7)):
+            band = confidence_bands(ci, np.arange(5000) * 0.01)
+            buf = io.StringIO()
+            write_bands_csv(band, buf)
+            expected = "h,lower,upper\n" + "".join(
+                f"{h:.12g},{lo:.12g},{hi:.12g}\n"
+                for h, lo, hi in zip(band.grid, band.lower, band.upper))
+            assert buf.getvalue() == expected
 
     @pytest.mark.parametrize("ci", [(1.0, math.nan), (math.nan, 1.0)],
                              ids=["high_nan", "low_nan"])
@@ -294,6 +297,28 @@ class TestVerifiers:
         check = verify_glivenko_cantelli(1.0, (100.0, 1000.0, 10000.0), 300, 1)
         assert check.medians[0] > check.medians[1] > check.medians[2]
         assert check.medians[0] == pytest.approx(0.04, abs=0.03)
+
+    @pytest.mark.parametrize("reps", [150.5, math.nan], ids=["float", "nan"])
+    def test_clt_reps_must_be_an_integer(self, reps):
+        with pytest.raises(ValueError, match="^reps must be an integer, got "):
+            verify_clt(1.0, 100.0, reps, 0)
+        a, b = verify_clt(1.0, 100.0, np.int64(150), 0), verify_clt(1.0, 100.0, 150, 0)
+        assert np.array_equal(a.statistics, b.statistics) and a.ks == b.ks
+
+    @pytest.mark.parametrize("reps", [2.5, math.nan], ids=["float", "nan"])
+    def test_gc_reps_must_be_an_integer(self, reps):
+        with pytest.raises(ValueError, match="^reps must be an integer, got "):
+            verify_glivenko_cantelli(1.0, (10.0, 100.0), reps, 0)
+        assert (verify_glivenko_cantelli(1.0, (10.0, 100.0), np.int32(3), 0)
+                == verify_glivenko_cantelli(1.0, (10.0, 100.0), 3, 0))
+
+    @pytest.mark.parametrize("reps", [500.5, math.nan], ids=["float", "nan"])
+    def test_kolmogorov_reps_must_be_an_integer(self, reps):
+        with pytest.raises(ValueError, match="^reps must be an integer, got "):
+            verify_kolmogorov_limit(1.0, 100.0, reps, 0)
+        a = verify_kolmogorov_limit(1.0, 100.0, np.uint16(500), 0)
+        b = verify_kolmogorov_limit(1.0, 100.0, 500, 0)
+        assert np.array_equal(a.statistics, b.statistics) and a.ks == b.ks
 
     def test_gc_needs_two_windows(self):
         with pytest.raises(ValueError):

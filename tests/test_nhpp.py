@@ -9,7 +9,7 @@ from scipy import integrate
 
 from quakewait import IntensityModel
 from quakewait.limitlaw import limit_cdf
-from quakewait.nhpp import (EventTimes, _write_csv, jump_time_pdf, read_events_csv,
+from quakewait.nhpp import (_DIGITS, EventTimes, _write_csv, jump_time_pdf, read_events_csv,
                             sample_jump_times, simulate_path, write_events_csv)
 from quakewait.rng import substream
 from quakewait.statfn import ks_test
@@ -220,10 +220,14 @@ def test_last_event_within_one_ulp_of_a_long_horizon_reads_back(horizon, ulps):
 
 
 # values whose text is easy to get wrong: signed zero and NaN, infinities,
-# subnormals and the extremes of the normal range
+# subnormals and the extremes of the normal range; then values in [1, 1e12),
+# where the table path decides: no point, trailing zeros, an exact tie at the
+# 12th digit, one that carries to 1e11 and one just short of 1e12
 _ODD_FLOATS = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
                                5e-324, -2.5e-310, 2.2250738585072014e-308,
-                               1.7976931348623157e308, 1e-5, 1e16, 123456789012.5])
+                               1.7976931348623157e308, 1e-5, 1e16, 123456789012.5,
+                               1.0, 1.5, 10.0, 100.25, 1.5e11, 1234567890.125,
+                               99999999999.99998, 999999999999.4])
 
 
 @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
@@ -232,13 +236,51 @@ _ODD_FLOATS = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.i
 @given(pool=st.lists(st.floats() | _ODD_FLOATS, min_size=1, max_size=40),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_write_csv_matches_per_row_format(ncols, n, pool, seed):
-    """The block writer's rows equal one ``str.format`` per row."""
+    """The block writer's rows equal one ``str.format`` per row, with 17
+    digits in the ``exact`` rows."""
     rng = np.random.default_rng(seed)
     columns = [rng.choice(np.array(pool), size=n) for _ in range(ncols)]
-    row, fmt = {1: ("%.12g\n", "{:.12g}\n"),
-                3: ("%.12g,%.12g,%.12g\n", "{:.12g},{:.12g},{:.12g}\n")}[ncols]
+    exact = np.flatnonzero(rng.random(n) < 0.01)
     buf = io.StringIO()
-    _write_csv(buf, "head\n", row, *columns)
+    _write_csv(buf, "head\n", *columns, exact=exact)
+    exact = set(exact.tolist())
+    fmt = {1: ("{:.12g}\n", "{:.17g}\n"),
+           3: ("{:.12g},{:.12g},{:.12g}\n", "{:.17g},{:.17g},{:.17g}\n")}[ncols]
     expected = "head\n" + "".join(
-        fmt.format(*vals) for vals in zip(*(c.tolist() for c in columns)))
+        fmt[i in exact].format(*vals)
+        for i, vals in enumerate(zip(*(c.tolist() for c in columns))))
     assert buf.getvalue() == expected
+
+
+def _decision_values(family):
+    """Seeded values on both sides of each choice the table path makes."""
+    rng = np.random.default_rng(20160)
+    if family == "uniform":
+        return rng.uniform(1.0, 1e12, 4 * 10 ** 5)
+    if family == "eighths_and_sixteenths":  # exact decimal ties such as 1234567890.125
+        n = np.floor(10.0 ** rng.uniform(0.0, 13.0, 4 * 10 ** 5))
+        return np.concatenate([n[::2] / 8, n[1::2] / 16])
+    if family == "powers_of_ten":
+        powers = np.array([float(f"1e{k}") for k in range(-6, 14)])
+        return np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+    # x * 10**-j for twelve-digit x and for the ties halfway between them,
+    # which binary64 holds only to the nearest double: these scale to within
+    # a few units of the last place of an integer or of a half-integer
+    x = rng.integers(1, 10 ** 12, 15_000) + np.array([[0.0], [0.5]])
+    return np.concatenate([x.ravel() / 10.0 ** j for j in range(12)])
+
+
+@pytest.mark.parametrize("family", ["uniform", "eighths_and_sixteenths",
+                                    "powers_of_ten", "twelve_digit_decimals"])
+def test_write_csv_matches_percent_where_the_table_path_decides(family):
+    x = _decision_values(family)
+    buf = io.StringIO()
+    _write_csv(buf, "head\n", x)
+    assert buf.getvalue().splitlines()[1:] == ["%.12g" % v for v in x.tolist()]
+
+
+def test_digit_table_equals_a_python_loop():
+    table = np.array([[s[:c] if b == 0 else s[:b] + b"." + s[b:c]
+                       for b in range(4) for c in range(4)]
+                      for s in (b"%03d" % g for g in range(1000))], dtype="S4")
+    assert np.array_equal(_DIGITS, table.view("<u4").ravel())
