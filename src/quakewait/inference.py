@@ -85,6 +85,12 @@ def path_log_likelihood(events: EventTimes, model: IntensityModel, t: float) -> 
     log(m) * (N_t - N_tau*), minus the integral of (lambda - 1) over
     [0, tau*], minus (t - tau*)(m - 1).  An event landing where lambda = 0
     yields minus infinity.
+
+    Works on the path's times as Python floats, ``events._time_list``, which
+    the first call for a path builds and caches on it (about 32 bytes per
+    event): a scan scores one path against thousands of models, and a numpy
+    call per model costs more than the arithmetic at the few early events a
+    path has.
     """
     tau_star = model.tail_start
     m = model.tail_rate
@@ -92,16 +98,16 @@ def path_log_likelihood(events: EventTimes, model: IntensityModel, t: float) -> 
         raise ValueError("t must exceed the model's tail_start")
     if t == math.inf:
         raise ValueError("t must be finite")
-    times = events.times
-    n = len(events)
+    times = events._time_list
+    n = len(times)
     if n and times[-1] > t:
         raise ValueError("events must lie within [0, t]")
-    # plain floats from here on: a numpy call per event or per 0-d value
-    # costs more than the arithmetic at the few early events a path has
-    n_early = int(times.searchsorted(tau_star, side="right"))
+    # the times increase strictly and hold no NaN, so this is
+    # searchsorted(tau_star, side="right")
+    n_early = bisect_right(times, tau_star)
     starts, rates = model.starts, model.rates
     total = 0.0
-    for u in times[:n_early].tolist():
+    for u in times[:n_early]:
         lam = rates[bisect_right(starts, u) - 1]
         if lam == 0.0:
             return float("-inf")

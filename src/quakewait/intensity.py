@@ -22,7 +22,7 @@ class ModelSpecError(ValueError):
     """Malformed intensity-model specification."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class IntensityModel:
     """Piecewise-constant intensity with rate ``rates[i]`` on
     ``[starts[i], starts[i+1])``; the last segment extends to infinity.
@@ -36,9 +36,12 @@ class IntensityModel:
     tail_rate: float
     _cum: tuple = field(init=False, repr=False)
 
-    def __post_init__(self):
-        starts = tuple(map(float, self.starts))
-        rates = tuple(map(float, self.rates))
+    def __init__(self, starts, rates, tail_start, tail_rate):
+        # written out rather than generated: a likelihood scan builds
+        # thousands of models, and the dataclass __init__ plus
+        # __post_init__ cost about a third more per model
+        starts = tuple(map(float, starts))
+        rates = tuple(map(float, rates))
         if not starts or starts[0] != 0.0:
             raise ModelSpecError("segments must start at time 0")
         if len(starts) != len(rates):
@@ -59,19 +62,18 @@ class IntensityModel:
             raise ModelSpecError("breakpoints must be strictly increasing")
         if not finite:
             raise ModelSpecError("rates must be finite and nonnegative")
-        if not self.tail_rate > 0:
+        if not tail_rate > 0:
             raise ModelSpecError("tail_rate must be strictly positive")
-        if not 0 <= self.tail_start < math.inf:
+        if not 0 <= tail_start < math.inf:
             raise ModelSpecError("tail_start must be finite and nonnegative")
         # breakpoints increase, so a finite tail_start bounds them all
-        if s0 > self.tail_start:
+        if s0 > tail_start:
             raise ModelSpecError("no breakpoint may lie beyond tail_start")
-        if r0 != self.tail_rate:
+        if r0 != tail_rate:
             raise ModelSpecError("last segment rate must equal tail_rate")
         # frozen: write the converted fields straight into the instance
-        self.__dict__.update(starts=starts, rates=rates,
-                             tail_start=float(self.tail_start),
-                             tail_rate=float(self.tail_rate), _cum=tuple(cum))
+        self.__dict__.update(starts=starts, rates=rates, tail_start=float(tail_start),
+                             tail_rate=float(tail_rate), _cum=tuple(cum))
 
     # -- constructors -------------------------------------------------
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +18,16 @@ from .intensity import IntensityModel
 @dataclass(frozen=True, eq=False)
 class EventTimes:
     """A realized path: strictly increasing occurrence times on
-    (0, horizon], with a finite horizon."""
+    (0, horizon], with a finite horizon.
+
+    ``_time_list`` holds the times as a list of Python floats.  Only
+    :func:`~quakewait.inference.path_log_likelihood` builds it, on its first
+    call for the path, and later calls reuse it; it costs about 32 bytes per
+    event (an 8-byte list slot and a 24-byte float) for as long as the path
+    lives.  The path is frozen and ``times`` is read-only, so the list does
+    not go stale unless a caller turns writing back on for an array it
+    passed in, which ``times`` then shares.
+    """
 
     times: np.ndarray
     horizon: float
@@ -43,6 +53,10 @@ class EventTimes:
 
     def __len__(self) -> int:
         return int(self.times.size)
+
+    @cached_property
+    def _time_list(self) -> list:
+        return self.times.tolist()
 
     def count_at(self, t: float) -> int:
         """N_t: number of events with time <= t."""

@@ -18,6 +18,15 @@ class TestParseCatalog:
     def test_empty_body(self):
         assert parse_catalog("year,magnitude\n") == []
 
+    def test_missing_header(self):
+        with pytest.raises(CatalogFormatError, match="line 1: missing header"):
+            parse_catalog("")
+
+    def test_column_count(self):
+        # the blank line is skipped but still counted
+        with pytest.raises(CatalogFormatError, match="line 4: expected two columns"):
+            parse_catalog("year,magnitude\n1900,7.5\n\n1910,7.0,x\n")
+
     def test_wrong_header(self):
         with pytest.raises(CatalogFormatError) as exc:
             parse_catalog("time,mag\n1,2\n")

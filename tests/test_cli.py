@@ -364,6 +364,7 @@ class TestBadInput:
     (["simulate", "--model", CONSTANT_MODEL, "--horizon", "1", "--seed", "-5", "--out", "x"],
      "argument --seed: expected a nonnegative integer, got '-5'"),
     (["gof", "--seed", "-5"], "argument --seed: expected a nonnegative integer, got '-5'"),
+    (["gof", "--seed", "1.5"], "argument --seed: expected a nonnegative integer, got '1.5'"),
     (["verify", "clt", "--t", "100", "--seed", "-5"],
      "argument --seed: expected a nonnegative integer, got '-5'"),
     (["gof", "--t", ""], "argument --t: expected comma-separated numbers, got ''"),
@@ -373,7 +374,7 @@ class TestBadInput:
     (["verify", "gc", "--t", "100,abc"],
      "argument --t: expected comma-separated numbers, got '100,abc'"),
 ], ids=["bad_int", "missing_required", "unknown_subcommand", "bad_choice",
-        "simulate_seed_negative", "gof_seed_negative", "verify_seed_negative",
+        "simulate_seed_negative", "gof_seed_negative", "gof_seed_not_int", "verify_seed_negative",
         "gof_t_empty", "gof_t_empty_item", "compare_t_not_int", "gc_t_not_float"])
 def test_usage_error_exits_2_with_one_line(capsys, args, message):
     """No usage block: one ``error:`` line, as for any other bad input."""

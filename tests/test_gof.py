@@ -137,6 +137,10 @@ class TestExperiment:
         (report,) = table1_experiment(1.0, 10, [50.0], 1000, 0)
         assert report.p_value > 0.05
 
+    def test_no_samples(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            table1_experiment(1.0, 10, [50.0], 0, 0)
+
     def test_invalid_parameters_propagate(self):
         with pytest.raises(ValidityError):
             table1_experiment(1.0, 10, [5.0], 1000, 0)

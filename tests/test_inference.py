@@ -15,7 +15,7 @@ from quakewait.inference import (_POISSON_MEAN_MAX, _slope_draws, confidence_ban
                                  verify_kolmogorov_limit, write_bands_csv)
 from quakewait.intensity import IntensityModel
 from quakewait.limitlaw import sup_distance_exp
-from quakewait.nhpp import EventTimes, simulate_path
+from quakewait.nhpp import EventTimes, read_events_csv, simulate_path, write_events_csv
 from quakewait.rng import substream, substreams
 from quakewait.statfn import (folded_normal_cdf, ks_test, normal_cdf,
                               normal_quantile)
@@ -50,6 +50,21 @@ class TestEstimateSlope:
     def test_bad_window(self):
         with pytest.raises(ValueError):
             estimate_slope(SEGMENT2, 50.0, 50.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: estimate_slope(SEGMENT2, -1.0, 50.0), "tau_star must be nonnegative"),
+    (lambda: estimate_slope(SEGMENT2, 0.0, 162.0),
+     "tau must not exceed the observation horizon"),
+    (lambda: slope_ci(0.2, 0.0, 130.0, 1.0), "alpha must lie strictly between 0 and 1"),
+    (lambda: confidence_bands((0.1, 0.3), []), "grid must be nonempty"),
+    (lambda: confidence_bands((0.1, 0.3), [1.0, 1.0]), "grid must be strictly increasing"),
+    (lambda: confidence_bands((0.1, 0.3), [-1.0, 0.0]), "grid times must be nonnegative"),
+], ids=["slope_tau_star_negative", "slope_beyond_horizon", "ci_alpha",
+        "bands_grid_empty", "bands_grid_repeated", "bands_grid_negative"])
+def test_window_and_grid_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestRandomCdf:
@@ -173,6 +188,24 @@ class TestPathLogLikelihood:
         ev = EventTimes(np.empty(0), 5.0)
         got = path_log_likelihood(ev, piecewise_model, 5.0)
         assert got == reference_log_likelihood(ev, piecewise_model, 5.0)
+
+    def test_repeated_calls_agree(self, piecewise_model):
+        ev = simulate_path(piecewise_model, 40.0, 5)
+        model = IntensityModel.piecewise([(0.0, 2.0), (1.0, 0.8)])
+        first = path_log_likelihood(ev, model, 40.0)
+        assert ev._time_list == ev.times.tolist()
+        second = path_log_likelihood(ev, model, 40.0)
+        assert second.hex() == first.hex()
+
+    def test_only_the_likelihood_builds_the_time_list(self, piecewise_model):
+        path = simulate_path(piecewise_model, 200.0, 6)
+        estimate_slope_with_ci(path, 1.0, 200.0, 0.05)
+        buf = io.StringIO()
+        write_events_csv(path, buf)
+        back = read_events_csv(io.StringIO(buf.getvalue()), 200.0)
+        assert "_time_list" not in vars(path) and "_time_list" not in vars(back)
+        path_log_likelihood(path, piecewise_model, 200.0)
+        assert "_time_list" in vars(path)
 
     @pytest.mark.parametrize("t, times, match", [
         (1.0, [0.5], "tail_start"),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -151,6 +152,32 @@ class TestSpecFile:
             IntensityModel.from_spec(spec)
 
 
+class TestDataclassBehaviour:
+    """The explicit ``__init__`` keeps what the generated one gave."""
+
+    def test_replace_runs_the_checks_again(self, piecewise_model):
+        with pytest.raises(ModelSpecError, match="last segment rate must equal tail_rate"):
+            dataclasses.replace(piecewise_model, tail_rate=3.0)
+        moved = dataclasses.replace(piecewise_model, tail_start=2.5)
+        assert (moved.starts, moved.rates, moved.tail_start, moved.tail_rate, moved._cum) == \
+            ((0.0, 1.0), (2.0, 1.0), 2.5, 1.0, (0.0, 2.0))
+
+    @pytest.mark.parametrize("name", ["starts", "rates", "tail_start", "tail_rate", "_cum"])
+    def test_fields_are_frozen(self, piecewise_model, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(piecewise_model, name, 1.0)
+
+    def test_repr(self):
+        model = IntensityModel.piecewise([(0, 2), (1.5, 0.25), (4, 1)])
+        assert repr(model) == ("IntensityModel(starts=(0.0, 1.5, 4.0), rates=(2.0, 0.25, "
+                               "1.0), tail_start=4.0, tail_rate=1.0)")
+
+    def test_fields_are_python_floats(self):
+        model = IntensityModel.piecewise([(np.float64(0), 2), (1, np.float64(0.5))])
+        values = [*model.starts, *model.rates, model.tail_start, model.tail_rate, *model._cum]
+        assert {type(v) for v in values} == {float}
+
+
 class TestTabulated:
     def test_matches_piecewise(self, piecewise_model):
         model = IntensityModel.tabulated(
@@ -167,7 +194,7 @@ class TestTabulated:
 
 def reference_spec(starts, rates, tail_start, tail_rate):
     """The multi-pass construction checks, kept as the reference for the
-    one-pass ``__post_init__``: the first error message, else the
+    one-pass ``IntensityModel.__init__``: the first error message, else the
     converted ``(starts, rates, cum)``."""
     starts = tuple(float(s) for s in starts)
     rates = tuple(float(r) for r in rates)

@@ -233,6 +233,11 @@ class TestBreakpoints:
         with pytest.raises(ValueError, match="m must be finite and strictly positive"):
             breakpoints(0.0, 10)
 
+    @pytest.mark.parametrize("r", [1, 2.5])
+    def test_bad_bin_count_raises(self, r):
+        with pytest.raises(ValueError, match="r must be an integer >= 2"):
+            breakpoints(1.0, r)
+
     # at m = 1e-308 only the last decile cut, 2.30/m, overflows
     @pytest.mark.parametrize("m", [5e-324, 1e-308])
     def test_overflowing_cuts_raise(self, m):

@@ -101,6 +101,10 @@ class TestJumpTimePdf:
     def test_large_k_no_overflow(self, constant_model):
         assert jump_time_pdf(constant_model, 500, 500.0) > 0.0
 
+    def test_zero_where_the_rate_is_zero(self):
+        model = IntensityModel.piecewise([(0.0, 1.0), (1.0, 0.0), (2.0, 1.0)])
+        assert jump_time_pdf(model, 3, 1.5) == 0.0
+
     @pytest.mark.parametrize("k", [1, 2, 10])
     def test_normalization(self, k, constant_model, piecewise_model):
         for model in (constant_model, piecewise_model):
@@ -128,6 +132,13 @@ class TestSampleJumpTimes:
         mids = 0.5 * (edges[:-1] + edges[1:])
         dens = np.array([jump_time_pdf(constant_model, k, t) for t in mids])
         assert np.max(np.abs(hist - dens)) < 0.02
+
+    @pytest.mark.parametrize("k, n, match", [
+        (0, 10, "k must be a positive integer"), (1.5, 10, "k must be a positive integer"),
+        (1, -1, "n must be nonnegative")])
+    def test_bad_k_or_n(self, constant_model, k, n, match):
+        with pytest.raises(ValueError, match=match):
+            sample_jump_times(constant_model, k, n, 0)
 
 
 class TestCsv:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quakewait.catalog import EmpiricalCdf
-from quakewait.gof import bin_percentages, table1_experiment
+from quakewait.gof import bin_percentages, expected_percentages, table1_experiment
 from quakewait.intensity import IntensityModel
 from quakewait.limitlaw import (WaitingLaw, conditional_cdf, limit_cdf, random_cdf,
                                 sample_conditional)
@@ -129,6 +129,32 @@ def test_bin_percentages_sum_to_100(samples, cuts):
     perc = bin_percentages(samples, sorted(cuts))
     assert len(perc) == len(cuts) + 1
     assert abs(perc.sum() - 100.0) <= 2 * len(perc) * 100.0 * EPS
+
+
+def _table1_rows(m, k, t, seed):
+    """Every field of a Table 1 row but t, or the error it raises."""
+    try:
+        return [(rep.percentages.tolist(), rep.chi2, rep.p_value, rep.n, rep.r)
+                for rep in table1_experiment(m, k, [t], 1000, seed)]
+    except ValueError as exc:
+        return repr(exc)
+
+
+# ranges fixed before the test was first run; mu = m t runs from the
+# validity boundary k - 1 to 200 beyond it
+@settings(max_examples=150, deadline=None)
+@given(m=st.sampled_from([0.01, 0.3, 2.0, 7.5]) | st.floats(0.01, 10.0),
+       k=st.integers(1, 50), excess=st.sampled_from([0.0]) | st.floats(0.0, 200.0),
+       seed=st.integers(0, 2 ** 63))
+def test_table1_depends_on_m_and_t_only_through_their_product(m, k, excess, seed):
+    # m c_j = -log1p(-j/r) and c_j / t = (m c_j) / (m t), so rescaling time
+    # by m maps the law at (m, t) onto the law at (1, m t)
+    t = (k - 1 + excess) / m
+    assert _table1_rows(m, k, t, seed) == _table1_rows(1.0, k, m * t, seed)
+    if m * t >= k - 1:
+        got = expected_percentages(WaitingLaw(t, k, m), 10)
+        want = expected_percentages(WaitingLaw(m * t, k, 1.0), 10)
+        assert np.max(np.abs(got - want)) <= 1e-10
 
 
 class TestRepeatedSeed:

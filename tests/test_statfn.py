@@ -88,6 +88,20 @@ class TestChi2Sf:
         x = df + sds * math.sqrt(2.0 * df)
         assert chi2_sf(x, df) == pytest.approx(stats.chi2.sf(x, df), abs=1e-13)
 
+    @pytest.mark.parametrize("df", [40, 41, 333, 4_000, 100_000])
+    @pytest.mark.parametrize("ratio", [0.2, 0.5, 0.85, 1.15, 1.5, 2.5, 4.0])
+    def test_far_from_the_mean_matches_scipy(self, df, ratio):
+        # s = df/2 >= 20 and |x - s|/s >= 0.1: Loader's prefactor with
+        # s (d - log1p d) taken directly, not by its series.  Below the mean
+        # chi2_sf rounds to 1 at large df, so the lower tail, which the same
+        # prefactor scales, is checked too.  The bound, fixed before the test
+        # was first run, is relative where scipy's value is normal: the tails
+        # reach 1e-200 here, where an absolute bound would pass anything.
+        x = ratio * df
+        assert chi2_sf(x, df) == pytest.approx(stats.chi2.sf(x, df), rel=1e-10, abs=1e-300)
+        assert reg_lower_incomplete_gamma(df / 2, x / 2) == pytest.approx(
+            stats.chi2.cdf(x, df), rel=1e-10, abs=1e-300)
+
     @pytest.mark.parametrize("df", [200_000, 1_000_000])
     @pytest.mark.parametrize("sds", [-3.0, 0.0, 3.0])
     def test_large_df_matches_mpmath(self, df, sds):
