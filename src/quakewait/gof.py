@@ -12,17 +12,26 @@ from the same generator gives the same counts except where a uniform lies
 within the sampler's 1e-12 tolerance of some G_t(c_j), a chance of about
 2e-12 (r - 1) per draw.
 
+Note on the layout: ``table1_experiment`` checks its arguments once and
+works on one row per t.  One call of the conditional-CDF kernel gives the
+(T, r - 1) matrix of G_t(c_j); each t's uniforms are drawn, sorted and
+counted below its row of cuts one t at a time, so no (T, n) array of draws
+is held; the percentages and the statistics are one array expression each,
+and only ``chi2_sf`` runs once per row.  ``bin_percentages`` is the
+one-row case of the same counting helper.
+
 Note on the statistic: with r equiprobable bins and percentages O_j, the
 Pearson statistic is sum (O_j - 100/r)^2 / (100/r), which is (100/n) times
 the count form sum (n_j - n/r)^2 / (n/r): the two agree at n = 100.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .limitlaw import WaitingLaw, breakpoints, conditional_cdf
+from .limitlaw import WaitingLaw, _cdf, breakpoints, conditional_cdf
 from .rng import substreams
 from .statfn import _nonneg, chi2_sf
 
@@ -39,22 +48,33 @@ class GofReport:
     r: int
 
 
+def _bin_rows(samples, cuts: np.ndarray, n: int) -> np.ndarray:
+    """Percentages of n values in each bin, one row per sample array: row i
+    bins ``samples[i]`` at the cuts ``cuts[i]``.
+
+    Counted from the sorted values: the number below each cut, then the
+    differences.  A value on a cut goes to the bin the cut opens.  The
+    sample arrays are taken one at a time, so an iterator that draws each
+    one holds only one of them.
+    """
+    below = np.empty((len(cuts), cuts.shape[1] + 2), dtype=np.intp)
+    below[:, 0], below[:, -1] = 0, n
+    for row, values, row_cuts in zip(below, samples, cuts):
+        row[1:-1] = np.sort(values).searchsorted(row_cuts)
+    return 100.0 * np.diff(below) / n
+
+
 def bin_percentages(samples, cuts) -> np.ndarray:
     """Percentage of samples in each of the len(cuts)+1 bins
-    [0, c_1), ..., [c_{r-1}, infinity).
-
-    Counted from the sorted samples: the number below each cut, then the
-    differences.  A sample on a cut goes to the bin the cut opens.
-    """
+    [0, c_1), ..., [c_{r-1}, infinity).  A sample on a cut goes to the bin
+    the cut opens."""
     cuts_arr = _nonneg(cuts, "cuts")
     if not (np.diff(cuts_arr) > 0).all():
         raise ValueError("cuts must be strictly increasing")
     samples_arr = _nonneg(samples, "samples")
     if samples_arr.size == 0:
         raise ValueError("at least one sample required")
-    below = np.sort(samples_arr).searchsorted(cuts_arr)
-    counts = np.diff(below, prepend=0, append=samples_arr.size)
-    return 100.0 * counts / samples_arr.size
+    return _bin_rows([samples_arr], cuts_arr[np.newaxis], samples_arr.size)[0]
 
 
 def chi_square_stat(percentages) -> float:
@@ -95,22 +115,38 @@ def table1_experiment(m: float, k: int, t_values, n: int, seed,
     are multinomial with the exact cell probabilities; no draw is inverted.
     The uniforms are those ``sample_conditional`` would invert.  Replicate
     i (the i-th t value) uses substream i of the master seed, so results
-    do not depend on evaluation order.  ValueError where G_t(c_j) does not
-    strictly increase in floating point, as on the boundary m t = k - 1 at
-    k = 1e17."""
+    do not depend on evaluation order.
+
+    Every argument is checked before anything is drawn: n, then m and r,
+    the seed, each t's law in order, and last each t's cells in order.
+    ValueError where G_t(c_j) does not strictly increase in floating
+    point, as on the boundary m t = k - 1 at k = 1e17.
+    """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
     if n < 1:
         raise ValueError("n must be at least 1")
     cuts = breakpoints(m, r)
-    reports = []
-    for t, gen in zip(t_values, substreams(seed, len(t_values))):
-        law = WaitingLaw(t, k, m)
-        cdf = conditional_cdf(law, cuts)
-        if not (np.diff(cdf) > 0).all():
+    r = int(r)
+    gens = substreams(seed, len(t_values))
+    laws = [WaitingLaw(t, k, m) for t in t_values]
+    if not laws:
+        return []
+    # one row of G_t(c_j) per t, on the laws' stored fields; at k = 1 every
+    # row is the same
+    t_col = np.array([law.t for law in laws])[:, np.newaxis]
+    cdf = np.broadcast_to(_cdf(t_col, laws[0].k, laws[0].m, cuts), (len(laws), r - 1))
+    for law, increasing in zip(laws, (np.diff(cdf) > 0).all(axis=1)):
+        if not increasing:
             raise ValueError(f"G_t at t={law.t!r}, k={law.k}, m={law.m!r} rounds to "
                              "equal values at the cut points, so its bins cannot be "
                              "told apart")
-        perc = bin_percentages(gen.random(int(n)), cdf)
-        stat = chi_square_stat(perc)
-        p = chi2_sf(stat, r - 1)
-        reports.append(GofReport(float(t), perc, stat, p, int(n), int(r)))
-    return reports
+    perc = _bin_rows((gen.random(n) for gen in gens), cdf, n)
+    # chi_square_stat of each row, bit for bit: numpy sums each row of a
+    # contiguous matrix as it sums that row alone
+    expected = 100.0 / r
+    stats = (np.sum((perc - expected) ** 2, axis=1) / expected).tolist()
+    return [GofReport(law.t, row, stat, chi2_sf(stat, r - 1), n, r)
+            for law, row, stat in zip(laws, perc, stats)]

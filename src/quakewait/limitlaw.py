@@ -73,39 +73,47 @@ def limit_cdf(m: float, h):
     return random_cdf(m, h)
 
 
-def _log_survival(law: WaitingLaw, h):
-    """log(1 - G_t(h)) = (k-1) log1p(h/t) - m h, unchecked: ``h`` is a
-    float or float array with every element >= 0.
+def _log_survival(t, k: int, m: float, h):
+    """log(1 - G_t(h)) = (k-1) log1p(h/t) - m h, unchecked: (t, k, m) are
+    the stored fields of a ``WaitingLaw``, except that ``t`` may be a column
+    of such t values, and ``h`` is a float or float array with every
+    element >= 0.  The result broadcasts ``t`` against ``h``; at k = 1 it
+    does not depend on t and has the shape of ``h``.
 
     With x = h/t it is written as (k-1) (log1p(x) - x) - (m t - (k-1)) x.
     Both terms are <= 0 on a valid law, so they cannot cancel and
     1 - exp of the sum stays in [0, 1] and nondecreasing in h.
     """
-    if law.k == 1:
-        return -law.m * h
-    x = h / law.t
-    return (law.k - 1) * (np.log1p(x) - x) - (law.m * law.t - (law.k - 1)) * x
+    if k == 1:
+        return -m * h
+    x = h / t
+    return (k - 1) * (np.log1p(x) - x) - (m * t - (k - 1)) * x
 
 
-def conditional_cdf(law: WaitingLaw, h):
-    """Conditional CDF: 1 - (1 + h/t)^{k-1} exp(-m h).
+def _cdf(t, k: int, m: float, h) -> np.ndarray:
+    """G_t(h) from ``_log_survival``, on the same unchecked arguments.
 
     It is 1 where the log-survival is NaN.  With h not NaN and m t finite,
     that is only where x = h/t overflows to inf for k >= 2 (h = inf
     included), and the log-survival lies below -(k-1) x, so G is 1 there.
     """
-    h = _nonneg(h, "h")
     with np.errstate(over="ignore", invalid="ignore"):
-        g = _log_survival(law, h)
+        g = _log_survival(t, k, m, h)
     # inf - inf or 0 inf where h / t overflows, for k >= 2
-    return _float_if_scalar(np.where(np.isnan(g), 1.0, -np.expm1(g)))
+    return np.where(np.isnan(g), 1.0, -np.expm1(g))
+
+
+def conditional_cdf(law: WaitingLaw, h):
+    """Conditional CDF: 1 - (1 + h/t)^{k-1} exp(-m h); 1 where h/t
+    overflows, h = inf included."""
+    return _float_if_scalar(_cdf(law.t, law.k, law.m, _nonneg(h, "h")))
 
 
 def sample_conditional(law: WaitingLaw, n: int, seed) -> np.ndarray:
     """Inverse-transform sampling by Newton's method on the log-survival.
 
     Each uniform u is inverted by solving f(h) = 0 for
-    f(h) = _log_survival(law, h) - log1p(-u), whose derivative is
+    f(h) = _log_survival(t, k, m, h) - log1p(-u), whose derivative is
     f'(h) = -(m t - (k-1) + m h) / (t + h).  Where the law is valid
     (m t >= k-1), f is concave and non-increasing on h >= 0.  The start,
     the exponential quantile -log1p(-u)/m, has f >= 0 and is exact for
@@ -132,7 +140,7 @@ def sample_conditional(law: WaitingLaw, n: int, seed) -> np.ndarray:
     # u = 0 and f = 0 too; the floor turns that 0/0 into a zero step
     tiny = np.finfo(float).tiny
     for _ in range(_MAX_ITER):
-        g = _log_survival(law, h)
+        g = _log_survival(law.t, law.k, law.m, h)
         if (np.abs(-np.expm1(g) - u) <= _U_TOL).all():
             return h
         # h - f/f'

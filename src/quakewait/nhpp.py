@@ -20,20 +20,22 @@ class EventTimes:
     """A realized path: strictly increasing occurrence times on
     (0, horizon], with a finite horizon.
 
+    ``times`` is a read-only copy that the path owns, so a caller's array
+    is left writable and later writes to it do not reach the path.
+
     ``_time_list`` holds the times as a list of Python floats.  Only
     :func:`~quakewait.inference.path_log_likelihood` builds it, on its first
     call for the path, and later calls reuse it; it costs about 32 bytes per
     event (an 8-byte list slot and a 24-byte float) for as long as the path
     lives.  The path is frozen and ``times`` is read-only, so the list does
-    not go stale unless a caller turns writing back on for an array it
-    passed in, which ``times`` then shares.
+    not go stale.
     """
 
     times: np.ndarray
     horizon: float
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        times = np.array(self.times, dtype=float)
         if times.ndim != 1:
             raise ValueError("times must be one-dimensional")
         # each check is written so that a NaN fails it; a finite horizon
@@ -43,7 +45,9 @@ class EventTimes:
         if times.size:
             if not times[0] > 0:
                 raise ValueError("event times must be strictly positive")
-            if not np.all(np.diff(times) > 0):
+            # b > a is b - a > 0 for floats; np.diff would allocate another
+            # array the size of the copy
+            if not np.all(times[1:] > times[:-1]):
                 raise ValueError("event times must be strictly increasing")
             if not times[-1] <= self.horizon:
                 raise ValueError("event times must not exceed the horizon")

@@ -1,13 +1,18 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from quakewait.gof import (bin_percentages, chi_square_stat, expected_percentages,
+from quakewait.gof import (GofReport, bin_percentages, chi_square_stat, expected_percentages,
                            gof_pvalue, table1_experiment)
-from quakewait.limitlaw import ValidityError, WaitingLaw, breakpoints, sample_conditional
+from quakewait.limitlaw import (ValidityError, WaitingLaw, breakpoints, conditional_cdf,
+                                sample_conditional)
 from quakewait.rng import substreams
+from quakewait.statfn import chi2_sf
 
 ROW_T25 = (6.7, 6.4, 7.0, 8.3, 7.4, 9.2, 10.1, 11.8, 12.5, 20.6)
 ROW_T30 = (7.5, 9.0, 8.4, 7.4, 7.7, 7.5, 9.9, 10.1, 13.0, 19.5)
@@ -39,6 +44,10 @@ class TestBinPercentages:
     def test_unsorted_cuts(self):
         with pytest.raises(ValueError):
             bin_percentages([1.0], [2.0, 1.0])
+
+    def test_no_samples(self):
+        with pytest.raises(ValueError, match="^at least one sample required$"):
+            bin_percentages([], [1.0, 2.0])
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 10_000), r=st.integers(1, 64), zero_cut=st.booleans(),
@@ -141,6 +150,27 @@ class TestExperiment:
         with pytest.raises(ValueError, match="n must be at least 1"):
             table1_experiment(1.0, 10, [50.0], 0, 0)
 
+    @pytest.mark.parametrize("n", [1000.7, math.nan, math.inf, 1000.0])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+            table1_experiment(1.0, 10, [50.0], n, 0)
+
+    def test_numpy_integer_n(self):
+        (a,) = table1_experiment(1.0, 10, [25.0], np.int64(1000), 9)
+        (b,) = table1_experiment(1.0, 10, [25.0], 1000, 9)
+        assert type(a.n) is int and a.n == 1000
+        assert a.percentages.tolist() == b.percentages.tolist()
+
+    def test_no_t_values(self):
+        assert table1_experiment(1.0, 10, [], 1000, 0) == []
+        with pytest.raises(ValueError, match="master_seed must be nonnegative"):
+            table1_experiment(1.0, 10, [], 1000, -1)
+
+    def test_every_law_is_checked_before_any_cells(self):
+        # the first t has cells it cannot separate, the second no valid law
+        with pytest.raises(ValidityError, match=r"^need m\*t >= k-1 for a valid CDF \(got m\*t=5\.0,"):
+            table1_experiment(1.0, 10**17, [1e17, 5.0], 1000, 0)
+
     def test_invalid_parameters_propagate(self):
         with pytest.raises(ValidityError):
             table1_experiment(1.0, 10, [5.0], 1000, 0)
@@ -193,6 +223,51 @@ class TestExperiment:
         for rep, t, gen in zip(reports, ts, substreams(seed, len(ts))):
             draws = sample_conditional(WaitingLaw(t, k, m), 1000, gen)
             assert np.array_equal(rep.percentages, bin_percentages(draws, cuts))
+
+
+def _reference_reports(m, k, ts, n, seed, r):
+    """Table 1 built one row at a time from the public pieces, or the
+    (type, message) of the error ``table1_experiment`` raises: every law
+    is checked before any row's cells."""
+    cuts, gens = breakpoints(m, r), substreams(seed, len(ts))
+    try:
+        laws = [WaitingLaw(t, k, m) for t in ts]
+    except ValidityError as exc:
+        return ValidityError, str(exc)
+    cdfs = [conditional_cdf(law, cuts) for law in laws]
+    for law, cdf in zip(laws, cdfs):
+        if not (np.diff(cdf) > 0).all():
+            return ValueError, f"G_t at t={law.t!r}, k={law.k}, m={law.m!r} rounds"
+    reports = []
+    for law, cdf, gen in zip(laws, cdfs, gens):
+        perc = bin_percentages(gen.random(n), cdf)
+        stat = chi_square_stat(perc)
+        reports.append(GofReport(law.t, perc, stat, chi2_sf(stat, r - 1), n, r))
+    return reports
+
+
+def _fields(rep):
+    return (rep.t, rep.percentages.dtype, rep.percentages.tolist(), rep.chi2, rep.p_value,
+            rep.n, rep.r)
+
+
+# ranges fixed before the test was first run; excess 0 puts a law on the
+# boundary m t = k - 1, which at k = 1 is t = 0
+@settings(max_examples=200, deadline=None)
+@given(m=st.sampled_from([0.01, 0.3, 1.0, 2.0, 7.5]) | st.floats(0.01, 10.0),
+       k=st.sampled_from([1, 2, 10]) | st.integers(1, 60),
+       excess=st.lists(st.sampled_from([0.0]) | st.floats(0.0, 200.0), max_size=8),
+       n=st.sampled_from([1, 1000, 20_000]) | st.integers(1, 20_000),
+       r=st.integers(2, 60), seed=st.integers(0, 2 ** 63))
+def test_table1_equals_the_per_row_reference(m, k, excess, n, r, seed):
+    ts = [(k - 1 + e) / m for e in excess]
+    want = _reference_reports(m, k, ts, n, seed, r)
+    if isinstance(want, tuple):
+        with pytest.raises(want[0], match=f"^{re.escape(want[1])}"):
+            table1_experiment(m, k, ts, n, seed, r=r)
+        return
+    got = table1_experiment(m, k, ts, n, seed, r=r)
+    assert [_fields(rep) for rep in got] == [_fields(rep) for rep in want]
 
 
 class TestExpectedPercentages:

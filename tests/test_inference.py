@@ -197,6 +197,19 @@ class TestPathLogLikelihood:
         second = path_log_likelihood(ev, model, 40.0)
         assert second.hex() == first.hex()
 
+    def test_a_write_to_the_callers_array_does_not_reach_the_path(self):
+        # the path copies the array, which stays the caller's and writable;
+        # the cached list then cannot disagree with the path's times
+        model = IntensityModel.piecewise([(0.0, 0.0), (1.0, 1.0)])
+        a = np.array([0.5, 2.0, 3.0])
+        ev = EventTimes(a, 4.0)
+        assert path_log_likelihood(ev, model, 4.0) == -math.inf
+        a[0] = 1.5
+        assert not np.shares_memory(ev.times, a) and not ev.times.flags.writeable
+        assert ev.times.tolist() == [0.5, 2.0, 3.0] and ev._time_list == [0.5, 2.0, 3.0]
+        assert path_log_likelihood(ev, model, 4.0) == -math.inf
+        assert path_log_likelihood(EventTimes(a, 4.0), model, 4.0) == 1.0
+
     def test_only_the_likelihood_builds_the_time_list(self, piecewise_model):
         path = simulate_path(piecewise_model, 200.0, 6)
         estimate_slope_with_ci(path, 1.0, 200.0, 0.05)

@@ -151,6 +151,10 @@ class TestSampleConditional:
         assert out.dtype == float and out.shape == (0,)
         assert gen.bit_generator.state == before
 
+    def test_negative_n(self):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            sample_conditional(WaitingLaw(50, 10, 1.0), -1, 1)
+
     def test_inverse_transform_accuracy(self):
         law = WaitingLaw(50, 10, 1.0)
         samples = sample_conditional(law, 1000, 0)
